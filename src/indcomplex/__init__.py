@@ -38,19 +38,15 @@ from .graphs import (
     delete_vertices,
     graph_from_json_dict,
     graph_to_json_dict,
-    neighborhood,
 )
 from .homology import (
     BettiProfile,
-    BoundaryMatrix,
     betti_of_family,
     betti_of_graph,
     betti_over_field,
-    boundary_matrix,
     integral_homology,
 )
 from .predictor import (
-    chi_of_wedge,
     decompose_even,
     decompose_odd,
     expected_f6,
@@ -71,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiProfile",
-    "BoundaryMatrix",
     "Cone",
     "DEFAULT_FACE_BUDGET",
     "FVector",
@@ -89,11 +84,9 @@ __all__ = [
     "betti_of_family",
     "betti_of_graph",
     "betti_over_field",
-    "boundary_matrix",
     "build_family",
     "build_gamma",
     "build_transfer_model",
-    "chi_of_wedge",
     "column_states",
     "count_faces",
     "decompose_even",
@@ -113,7 +106,6 @@ __all__ = [
     "homotopy_type_if_closed",
     "integral_homology",
     "link_graph",
-    "neighborhood",
     "period_detect",
     "predict_family",
     "predict_gamma",

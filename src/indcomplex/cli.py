@@ -25,7 +25,7 @@ from .graphs import (
 )
 from .fold import reduce_graph
 from .homology import betti_of_family
-from .predictor import chi_of_wedge, predict_family, predict_gamma
+from .predictor import predict_family, predict_gamma
 from .transfer import euler_chi, euler_sweep
 from .verify import DEFAULT_SEED, SUITES, run_all
 
@@ -57,7 +57,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     _emit(
         {
             "wedge": {str(d): m for d, m in wedge.betti_numbers().items()},
-            "chi": chi_of_wedge(wedge),
+            "chi": wedge.chi,
             "contractible": wedge.is_point,
         }
     )
@@ -117,7 +117,7 @@ def _cmd_euler(args: argparse.Namespace) -> int:
         if args.k != 6:
             print("euler: --method predict requires k = 6", file=sys.stderr)
             return EXIT_USAGE
-        chi = chi_of_wedge(predict_gamma(args.n))
+        chi = predict_gamma(args.n).chi
     _emit({"n": args.n, "k": args.k, "chi": chi, "method": args.method})
     return EXIT_OK
 
@@ -137,10 +137,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        if args.suite == "fold_soundness":
-            reports = [SUITES[args.suite](seed=args.seed)]
-        else:
-            reports = [SUITES[args.suite]()]
+        reports = [SUITES[args.suite](args.seed)]
     else:
         reports = run_all(deep=args.deep, seed=args.seed)
 

@@ -11,7 +11,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Vertex = tuple[int, int]
 
@@ -180,7 +180,7 @@ def build_family(f: Family) -> Graph:
     g = build_gamma(f.n, 6)
     removed = [g.index((f.n, row)) for row in _FAMILY_REMOVED_ROWS[f.kind]]
     trimmed = delete_vertices(g, removed)
-    return Graph(trimmed.vertices, _index_edges(trimmed), family=f)
+    return Graph(trimmed.vertices, trimmed.edges, family=f)
 
 
 def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:
@@ -195,14 +195,6 @@ def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:
         (remap[a], remap[b]) for a, b in g.edges if a in remap and b in remap
     ]
     return Graph(vertices, edges)
-
-
-def neighborhood(g: Graph, v: int, closed: bool = False) -> frozenset[int]:
-    return g.neighborhood(v, closed=closed)
-
-
-def _index_edges(g: Graph) -> Iterator[tuple[int, int]]:
-    return iter(sorted(g.edges))
 
 
 def graph_to_json_dict(g: Graph) -> dict:

@@ -5,6 +5,11 @@ augmented convention: the empty face spans dimension -1, so contractible
 complexes have all reduced Betti numbers zero and the empty complex reports
 a single generator in dimension -1.
 
+Each boundary map is streamed one column at a time, straight from the
+per-dimension face lists into the elimination of its ring (bitmasks over
+GF(2), sparse dicts over GF(p) and Z); only ranks and torsion are kept, so
+no whole boundary matrix is ever held.
+
 The family pipeline first fold-reduces the graph, computes homology on the
 residual, and shifts dimensions up by the number of recorded suspensions.
 """
@@ -12,6 +17,7 @@ residual, and shifts dimensions up by the number of recorded suspensions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import linalg
 from .faces import FaceBudgetExceeded, faces_by_dimension
@@ -55,64 +61,28 @@ class BettiProfile:
         }
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Sparse boundary operator from d-faces (columns) to (d-1)-faces (rows).
+def _boundary_rows(
+    faces: dict[int, list[tuple[int, ...]]], d: int
+) -> Iterator[dict[int, int]]:
+    """Yield the boundary of each d-face, in lex order, as {row: sign}.
 
-    Both sides are in lex face order; omitting the j-th vertex (ascending)
-    contributes sign (-1)^j.  For d = 0 this is the augmentation row.
+    Rows index the lex-ordered (d-1)-faces.  Dropping a later vertex gives a
+    lex-smaller facet, so running j from d down to 0 yields ascending rows;
+    the facet omitting vertex j has sign (-1)^j.  For d = 0 the only facet
+    is the empty face, so the column is the augmentation row.
     """
-
-    dimension: int
-    n_rows: int
-    n_cols: int
-    columns: tuple[tuple[tuple[int, int], ...], ...]  # per column: ((row, sign), ...)
-
-
-def boundary_matrix(
-    g: Graph, d: int, faces: dict[int, list[tuple[int, ...]]] | None = None
-) -> BoundaryMatrix:
-    if d < 0:
-        raise ValueError("boundary dimension must be >= 0")
-    if faces is None:
-        faces = faces_by_dimension(g)
-    return _boundary(faces, d)
-
-
-def _boundary(faces: dict[int, list[tuple[int, ...]]], d: int) -> BoundaryMatrix:
-    cols_faces = faces.get(d, [])
-    if d == 0:
-        return BoundaryMatrix(
-            0, 1, len(cols_faces), tuple(((0, 1),) for _ in cols_faces)
-        )
-    rows_faces = faces.get(d - 1, [])
-    row_index = {f: i for i, f in enumerate(rows_faces)}
-    columns = []
-    for face in cols_faces:
-        entries = []
-        for j in range(len(face)):
-            sub = face[:j] + face[j + 1 :]
-            entries.append((row_index[sub], (-1) ** j))
-        entries.sort()
-        columns.append(tuple(entries))
-    return BoundaryMatrix(d, len(rows_faces), len(cols_faces), tuple(columns))
-
-
-def _all_boundaries(faces: dict[int, list[tuple[int, ...]]]) -> list[BoundaryMatrix]:
-    top = max((d for d in faces if d >= 0), default=-1)
-    return [_boundary(faces, d) for d in range(0, top + 1)]
+    row_index = {f: i for i, f in enumerate(faces[d - 1])}
+    for face in faces[d]:
+        yield {row_index[face[:j] + face[j + 1 :]]: (-1) ** j for j in range(d, -1, -1)}
 
 
 def _betti_from_ranks(
     faces: dict[int, list[tuple[int, ...]]], ranks: dict[int, int]
 ) -> dict[int, int]:
-    top = max((d for d in faces if d >= 0), default=-1)
+    """b_d = f_d - r_d - r_{d+1} for every d >= -1 (r_d: rank of the d-boundary)."""
     out: dict[int, int] = {}
-    b_empty = 1 - ranks.get(0, 0)  # c_{-1} = 1 for the empty face
-    if b_empty:
-        out[-1] = b_empty
-    for d in range(0, top + 1):
-        b = len(faces.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+    for d, group in faces.items():
+        b = len(group) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if b:
             out[d] = b
     return out
@@ -122,13 +92,12 @@ def betti_over_field(g: Graph, p: int, budget: int | None = None) -> BettiProfil
     """Reduced Betti numbers of I(g) over GF(p), without fold reduction."""
     faces = faces_by_dimension(g, budget=budget)
     ranks: dict[int, int] = {}
-    for bd in _all_boundaries(faces):
+    for d in range(max(faces) + 1):
+        columns = _boundary_rows(faces, d)
         if p == 2:
-            cols = [sum(1 << r for r, _ in col) for col in bd.columns]
-            ranks[bd.dimension] = linalg.gf2_rank(cols)
+            ranks[d] = linalg.gf2_rank(sum(1 << r for r in col) for col in columns)
         else:
-            cols = [dict(col) for col in bd.columns]
-            ranks[bd.dimension] = linalg.modp_rank(cols, p)
+            ranks[d] = linalg.modp_rank(columns, p)
     return BettiProfile(_betti_from_ranks(faces, ranks), (), f"gf{p}")
 
 
@@ -142,39 +111,25 @@ def integral_homology(g: Graph, budget: int | None = None) -> BettiProfile:
         )
     ranks: dict[int, int] = {}
     torsion: list[tuple[int, int]] = []
-    for bd in _all_boundaries(faces):
-        factors = linalg.smith_invariant_factors(dict(col) for col in bd.columns)
-        ranks[bd.dimension] = len(factors)
+    for d in range(max(faces) + 1):
+        factors = linalg.smith_invariant_factors(_boundary_rows(faces, d))
+        ranks[d] = len(factors)
         # Non-unit factors of the d-boundary are torsion in dimension d - 1.
-        torsion.extend((bd.dimension - 1, f) for f in factors if f != 1)
+        torsion.extend((d - 1, f) for f in factors if f != 1)
     return BettiProfile(_betti_from_ranks(faces, ranks), tuple(torsion), "int")
 
 
-def _zero_profile(coeff: str) -> BettiProfile:
-    return BettiProfile({}, (), coeff)
-
-
-def _coeff_compute(g: Graph, coeff: str, budget: int | None) -> BettiProfile:
-    if coeff == "int":
-        return integral_homology(g, budget=budget)
-    if coeff.startswith("gf"):
-        return betti_over_field(g, int(coeff[2:]), budget=budget)
-    raise ValueError(f"unknown coefficient descriptor {coeff!r}")
-
-
-def betti_of_graph(
-    g: Graph,
-    coeff: str = "gf2",
-    use_reduction: bool = True,
-    budget: int | None = None,
-) -> BettiProfile:
-    """Homology of I(g), optionally through the fold-reduction pipeline."""
-    if not use_reduction:
-        return _coeff_compute(g, coeff, budget)
+def betti_of_graph(g: Graph, coeff: str = "gf2", budget: int | None = None) -> BettiProfile:
+    """Homology of I(g): fold-reduce, compute on the residual, shift by the suspensions."""
     trace = reduce_graph(g)
     if trace.contractible:
-        return _zero_profile(coeff)
-    profile = _coeff_compute(trace.residual, coeff, budget)
+        return BettiProfile({}, (), coeff)
+    if coeff == "int":
+        profile = integral_homology(trace.residual, budget=budget)
+    elif coeff.startswith("gf"):
+        profile = betti_over_field(trace.residual, int(coeff[2:]), budget=budget)
+    else:
+        raise ValueError(f"unknown coefficient descriptor {coeff!r}")
     return profile.shifted(trace.suspensions)
 
 

@@ -122,10 +122,6 @@ def integer_column_echelon(
     return pivots
 
 
-def integer_rank(columns: Iterable[Mapping[int, int]]) -> int:
-    return len(integer_column_echelon(columns))
-
-
 def smith_invariant_factors(columns: Iterable[Mapping[int, int]]) -> list[int]:
     """Nontrivial part of the Smith normal form of the column lattice.
 

@@ -134,11 +134,6 @@ def predict_gamma(n: int) -> WedgeOfSpheres:
     return head.wedge(_band(n_prime - m, n_prime - 1, 6))
 
 
-def chi_of_wedge(w: WedgeOfSpheres) -> int:
-    """Unreduced Euler characteristic of a wedge of spheres (point -> 1)."""
-    return w.chi
-
-
 def expected_f6(n: int) -> int:
     """Tabulated chi(I(Gamma_{n,6})), extended by the period of 28."""
     if n < 1:

@@ -41,11 +41,6 @@ class TransferModel:
     signs: tuple[int, ...]
     compatible: tuple[tuple[int, ...], ...]
 
-    def matrix_entry(self, s: int, t: int) -> int:
-        if self.states[s] & self.states[t]:
-            return 0
-        return self.signs[t]
-
     def step(self, vec: list[int]) -> list[int]:
         """One matrix-vector product: advance the sweep by one column."""
         return [

@@ -71,9 +71,6 @@ class WedgeOfSpheres:
         """Reduced Betti numbers: one free generator per sphere."""
         return dict(self._items)
 
-    def max_dimension(self) -> int | None:
-        return self._items[-1][0] if self._items else None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WedgeOfSpheres):
             return NotImplemented

@@ -5,19 +5,12 @@ comparisons are exact integer equalities.  Criterion 4 is the stretch
 check on the 5-by-6 grid and carries the `deep` marker.
 """
 
-import random
-
 import pytest
 
 from indcomplex import (
     Family,
     WedgeOfSpheres,
     betti_of_family,
-    betti_of_graph,
-    betti_over_field,
-    build_gamma,
-    chi_of_wedge,
-    delete_vertices,
     euler_chi,
     euler_sweep,
     expected_f6,
@@ -26,7 +19,7 @@ from indcomplex import (
     predict_gamma,
 )
 from indcomplex.predictor import F6_PERIOD
-from indcomplex.verify import verify_splittings
+from indcomplex.verify import verify_fold_soundness, verify_small_homology, verify_splittings
 
 
 def report(criterion, label, ok):
@@ -42,22 +35,17 @@ def test_criterion_1_euler_table_and_period():
 
 def test_criterion_2_predictor_chi_agreement():
     ok = all(
-        chi_of_wedge(predict_gamma(n)) == chi for n, chi in enumerate(euler_sweep(6, 500), 1)
+        predict_gamma(n).chi == chi for n, chi in enumerate(euler_sweep(6, 500), 1)
     )
     report(2, "predictor chi equals transfer chi for n=1..500", ok)
 
 
 def test_criterion_3_brute_force_small_homology():
-    ok = True
-    for kind in ("gamma", "x", "y", "a", "b"):
-        for n in range(1, 5):
-            fam = Family(kind, n)
-            expected = predict_family(fam).betti_numbers()
-            gf2 = betti_of_family(fam, coeff="gf2")
-            integral = betti_of_family(fam, coeff="int")
-            ok &= gf2.reduced_betti == expected
-            ok &= integral.reduced_betti == expected
-            ok &= integral.torsion == ()
+    # 5 families x n = 1..4; the "int" suite also requires zero torsion.
+    results = [verify_small_homology(max_n=4, coeff=coeff) for coeff in ("gf2", "int")]
+    ok = all(
+        r.passed and not r.budget_skips and len(r.cases) == 20 for r in results
+    )
     report(3, "GF(2) and integral homology match closed forms for n=1..4", ok)
 
 
@@ -75,17 +63,8 @@ def test_criterion_5_splitting_additivity():
 
 
 def test_criterion_6_fold_soundness():
-    rng = random.Random(1729)
-    ok = True
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        g = build_gamma(n, 6)
-        size = rng.randint(0, min(20, len(g)))
-        keep = set(rng.sample(range(len(g)), size))
-        sub = delete_vertices(g, set(range(len(g))) - keep)
-        direct = betti_over_field(sub, 2).reduced_betti
-        reduced = betti_of_graph(sub, coeff="gf2", use_reduction=True).reduced_betti
-        ok &= direct == reduced
+    result = verify_fold_soundness(samples=200, seed=1729, max_vertices=20)
+    ok = result.passed and not result.budget_skips and len(result.cases) == 200
     report(6, "fold reduction preserves Betti numbers on 200 seeded samples", ok)
 
 

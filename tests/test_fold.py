@@ -127,5 +127,5 @@ class TestHomologyPreservation:
     def test_reduction_preserves_betti(self, seed):
         g = random_grid_subgraph(random.Random(seed), max_n=4, max_vertices=16)
         direct = betti_over_field(g, 2).reduced_betti
-        reduced = betti_of_graph(g, coeff="gf2", use_reduction=True).reduced_betti
+        reduced = betti_of_graph(g, coeff="gf2").reduced_betti
         assert direct == reduced

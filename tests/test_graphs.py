@@ -11,7 +11,6 @@ from indcomplex import (
     delete_vertices,
     graph_from_json_dict,
     graph_to_json_dict,
-    neighborhood,
 )
 
 
@@ -127,21 +126,21 @@ def _reindexed(g, removed, t):
 class TestNeighborhood:
     def test_corner_open(self):
         g = build_gamma(2, 2)
-        nbrs = neighborhood(g, g.index((1, 1)))
+        nbrs = g.neighborhood(g.index((1, 1)))
         assert {g.vertices[i] for i in nbrs} == {(1, 2), (2, 1)}
 
     def test_closed_adds_self(self):
         g = build_gamma(3, 3)
         for v in range(len(g.vertices)):
-            assert neighborhood(g, v, closed=True) == neighborhood(g, v) | {v}
+            assert g.neighborhood(v, closed=True) == g.neighborhood(v) | {v}
 
     def test_interior_degree_four(self):
         g = build_gamma(3, 3)
-        assert len(neighborhood(g, g.index((2, 2)))) == 4
+        assert len(g.neighborhood(g.index((2, 2)))) == 4
 
     def test_invalid_index(self):
         with pytest.raises(GraphError):
-            neighborhood(build_gamma(2, 2), 9)
+            build_gamma(2, 2).neighborhood(9)
 
 
 def test_row_flip_is_isomorphism():

@@ -9,50 +9,52 @@ from indcomplex import (
     Family,
     betti_of_family,
     betti_over_field,
-    boundary_matrix,
     build_family,
     build_gamma,
     delete_vertices,
     euler_from_fvector,
     f_vector,
+    faces_by_dimension,
     integral_homology,
     predict_family,
 )
-from indcomplex.homology import BettiProfile
+from indcomplex.homology import BettiProfile, _boundary_rows
 
 from conftest import disjoint_union, random_grid_subgraph
 
 
-class TestBoundaryMatrix:
+def boundary_columns(g, d):
+    """The d-boundary of I(g) as ordered (row, sign) lists, one per d-face."""
+    return [list(col.items()) for col in _boundary_rows(faces_by_dimension(g), d)]
+
+
+class TestBoundaryRows:
     def test_augmentation_row_for_k2(self):
-        bd = boundary_matrix(build_gamma(2, 1), 0)
-        assert bd.n_rows == 1
-        assert bd.columns == (((0, 1),), ((0, 1),))
+        assert faces_by_dimension(build_gamma(2, 1))[-1] == [()]
+        assert boundary_columns(build_gamma(2, 1), 0) == [[(0, 1)], [(0, 1)]]
 
     def test_p3_dimension_one(self):
         # Single 1-face {0, 2}; rows are (0,), (1,), (2,) in lex order.
-        bd = boundary_matrix(build_gamma(3, 1), 1)
-        assert bd.n_cols == 1
-        assert bd.columns == (((0, -1), (2, 1)),)
+        assert boundary_columns(build_gamma(3, 1), 1) == [[(0, -1), (2, 1)]]
 
     def test_full_triangle_boundary_signs(self):
         g = delete_vertices(build_gamma(3, 3), [1, 3, 4, 5, 7, 8])  # 3 isolated vertices
-        bd = boundary_matrix(g, 2)
-        assert bd.n_cols == 1
         # d{0,1,2} = {1,2} - {0,2} + {0,1}; rows in lex order {0,1},{0,2},{1,2}.
-        assert bd.columns == (((0, 1), (1, -1), (2, 1)),)
+        assert boundary_columns(g, 2) == [[(0, 1), (1, -1), (2, 1)]]
 
-    def test_boundary_squares_to_zero(self):
-        g = build_gamma(2, 3)
-        for d in range(1, 3):
-            bd = boundary_matrix(g, d)
-            lower = boundary_matrix(g, d - 1)
-            for col in bd.columns:
-                acc = {}
-                for row, sign in col:
-                    for r2, s2 in lower.columns[row]:
-                        acc[r2] = acc.get(r2, 0) + sign * s2
-                assert all(v == 0 for v in acc.values())
+    def test_boundary_squares_to_zero(self, rng):
+        graphs = [build_gamma(2, 3)]
+        graphs += [random_grid_subgraph(rng, max_n=3, max_vertices=12) for _ in range(25)]
+        for g in graphs:
+            faces = faces_by_dimension(g)
+            for d in range(1, max(faces) + 1):
+                lower = list(_boundary_rows(faces, d - 1))
+                for col in _boundary_rows(faces, d):
+                    acc = {}
+                    for row, sign in col.items():
+                        for r2, s2 in lower[row].items():
+                            acc[r2] = acc.get(r2, 0) + sign * s2
+                    assert all(v == 0 for v in acc.values())
 
 
 class TestBettiOverField:

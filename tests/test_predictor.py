@@ -3,7 +3,6 @@ import pytest
 from indcomplex import (
     Family,
     WedgeOfSpheres,
-    chi_of_wedge,
     euler_chi,
     expected_f6,
     predict_family,
@@ -82,11 +81,11 @@ class TestGamma:
 
     def test_chi_agrees_with_transfer_to_200(self):
         for n in range(1, 201):
-            assert chi_of_wedge(predict_gamma(n)) == euler_chi(n, 6), n
+            assert predict_gamma(n).chi == euler_chi(n, 6), n
 
     def test_chi_agrees_with_table(self):
         for n in range(1, 201):
-            assert chi_of_wedge(predict_gamma(n)) == expected_f6(n), n
+            assert predict_gamma(n).chi == expected_f6(n), n
 
     def test_recursion_gamma_splits_into_y_and_a(self):
         for n in range(5, 60):
@@ -120,10 +119,10 @@ class TestGamma:
 
 
 class TestChiHelpers:
-    def test_chi_of_wedge_examples(self):
-        assert chi_of_wedge(WedgeOfSpheres.point()) == 1
-        assert chi_of_wedge(WedgeOfSpheres({5: 3})) == -2
-        assert chi_of_wedge(WedgeOfSpheres({2: 1})) == 2
+    def test_wedge_chi_examples(self):
+        assert WedgeOfSpheres.point().chi == 1
+        assert WedgeOfSpheres({5: 3}).chi == -2
+        assert WedgeOfSpheres({2: 1}).chi == 2
 
     def test_expected_f6_wraps(self):
         assert expected_f6(10) == 6

@@ -15,6 +15,11 @@ from indcomplex import (
 from indcomplex.predictor import F6_PERIOD, F6_PERIOD_LENGTH
 
 
+def entry(model, s, t):
+    """Transfer-matrix entry (s, t): the sign of state t if the masks are disjoint, else 0."""
+    return 0 if model.states[s] & model.states[t] else model.signs[t]
+
+
 class TestColumnStates:
     def test_small_counts(self):
         assert column_states(1) == [0, 1]
@@ -45,9 +50,9 @@ class TestTransferModel:
         model = build_transfer_model(2)
         states = model.states
         assert states == (0b00, 0b01, 0b10)
-        assert model.matrix_entry(0, 1) == -1  # popcount(01) odd
-        assert model.matrix_entry(1, 2) == -1  # disjoint masks
-        assert model.matrix_entry(1, 1) == 0  # overlapping masks
+        assert entry(model, 0, 1) == -1  # popcount(01) odd
+        assert entry(model, 1, 2) == -1  # disjoint masks
+        assert entry(model, 1, 1) == 0  # overlapping masks
 
     def test_step_is_matrix_product(self):
         model = build_transfer_model(3)
@@ -55,7 +60,7 @@ class TestTransferModel:
         stepped = model.step(vec)
         for t in range(len(model.states)):
             assert stepped[t] == sum(
-                model.matrix_entry(s, t) * vec[s] for s in range(len(model.states))
+                entry(model, s, t) * vec[s] for s in range(len(model.states))
             )
 
     def test_initial_is_signs(self):
