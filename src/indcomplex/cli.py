@@ -4,7 +4,7 @@ Subcommands: predict, homology, euler, reduce, verify.  Graph input, where
 accepted, uses the JSON schema
 {"n":..., "k":..., "family":..., "vertices":[[x,y],...], "edges":[[i,j],...]}
 read from --input FILE or stdin.  Exit codes: 0 pass, 1 verification
-failure, 2 usage error, 3 face-budget abort.
+failure, 2 usage error, 3 face-budget abort or out of memory.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--all", action="store_true", help="run every suite (default)")
     p_verify.add_argument("--suite", help="run a single suite by name")
-    p_verify.add_argument("--deep", action="store_true", help="include n = 5 stretch checks")
+    p_verify.add_argument("--deep", action="store_true", help="include the n = 5, 6 stretch checks")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--json", dest="json_path", help="write the report to a JSON file")
     p_verify.set_defaults(func=_cmd_verify)
@@ -213,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FaceBudgetExceeded as exc:
         print(f"face budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("out of memory: the input is too large for this machine", file=sys.stderr)
         return EXIT_BUDGET
     except (GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,13 @@ complexes have all reduced Betti numbers zero and the empty complex reports
 a single generator in dimension -1.
 
 Each boundary map is streamed one column at a time, straight from the
-per-dimension face lists into the elimination of its ring (bitmasks over
-GF(2), sparse dicts over GF(p) and Z); only ranks and torsion are kept, so
-no whole boundary matrix is ever held.
+per-dimension face lists into the elimination of its ring (sparse
+{row: coefficient} columns, reduced as row sets over GF(2)); only ranks and
+torsion are kept, so no whole boundary matrix is ever held.  Over a field
+the boundaries are reduced from the top dimension down with clearing: a
+d-face that is a pivot row of the (d+1)-boundary has a d-boundary column
+that reduces to zero, so it is never assembled (Chen and Kerber, "Persistent
+homology computation with a twist", 2011).
 
 The family pipeline first fold-reduces the graph, computes homology on the
 residual, and shifts dimensions up by the number of recorded suspensions.
@@ -16,8 +20,10 @@ residual, and shifts dimensions up by the number of recorded suspensions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from math import isqrt
+from typing import Collection, Iterator
 
 from . import linalg
 from .faces import FaceBudgetExceeded, faces_by_dimension
@@ -62,18 +68,20 @@ class BettiProfile:
 
 
 def _boundary_rows(
-    faces: dict[int, list[tuple[int, ...]]], d: int
+    faces: dict[int, list[tuple[int, ...]]], d: int, cleared: Collection[int] = ()
 ) -> Iterator[dict[int, int]]:
     """Yield the boundary of each d-face, in lex order, as {row: sign}.
 
     Rows index the lex-ordered (d-1)-faces.  Dropping a later vertex gives a
     lex-smaller facet, so running j from d down to 0 yields ascending rows;
     the facet omitting vertex j has sign (-1)^j.  For d = 0 the only facet
-    is the empty face, so the column is the augmentation row.
+    is the empty face, so the column is the augmentation row.  Faces whose
+    index is in `cleared` are skipped.
     """
     row_index = {f: i for i, f in enumerate(faces[d - 1])}
-    for face in faces[d]:
-        yield {row_index[face[:j] + face[j + 1 :]]: (-1) ** j for j in range(d, -1, -1)}
+    for i, face in enumerate(faces[d]):
+        if i not in cleared:
+            yield {row_index[face[:j] + face[j + 1 :]]: (-1) ** j for j in range(d, -1, -1)}
 
 
 def _betti_from_ranks(
@@ -88,16 +96,34 @@ def _betti_from_ranks(
     return out
 
 
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
+def _field_prime(coeff: str) -> int | None:
+    """The prime p of a "gf<p>" descriptor, or None for "int"."""
+    if coeff == "int":
+        return None
+    match = re.fullmatch(r"gf([1-9][0-9]*)", coeff)
+    if match is None or not _is_prime(int(match[1])):
+        raise ValueError(
+            f"unknown coefficient descriptor {coeff!r}: expected 'int' or 'gf<p>' with p prime"
+        )
+    return int(match[1])
+
+
 def betti_over_field(g: Graph, p: int, budget: int | None = None) -> BettiProfile:
     """Reduced Betti numbers of I(g) over GF(p), without fold reduction."""
+    if not _is_prime(p):
+        raise ValueError(f"GF({p}) is not a field: {p} is not prime")
     faces = faces_by_dimension(g, budget=budget)
     ranks: dict[int, int] = {}
-    for d in range(max(faces) + 1):
-        columns = _boundary_rows(faces, d)
-        if p == 2:
-            ranks[d] = linalg.gf2_rank(sum(1 << r for r in col) for col in columns)
-        else:
-            ranks[d] = linalg.modp_rank(columns, p)
+    # Pivot rows of the boundary one dimension up: the d-faces to clear.
+    pivots: set[int] = set()
+    for d in range(max(faces), -1, -1):
+        columns = _boundary_rows(faces, d, pivots)
+        pivots = linalg.gf2_rank(columns) if p == 2 else linalg.modp_rank(columns, p)
+        ranks[d] = len(pivots)
     return BettiProfile(_betti_from_ranks(faces, ranks), (), f"gf{p}")
 
 
@@ -111,6 +137,9 @@ def integral_homology(g: Graph, budget: int | None = None) -> BettiProfile:
         )
     ranks: dict[int, int] = {}
     torsion: list[tuple[int, int]] = []
+    # No clearing over Z: a cleared column is only rationally dependent on
+    # the others, so skipping it can shrink the column lattice and report
+    # torsion that is not there.
     for d in range(max(faces) + 1):
         factors = linalg.smith_invariant_factors(_boundary_rows(faces, d))
         ranks[d] = len(factors)
@@ -120,16 +149,18 @@ def integral_homology(g: Graph, budget: int | None = None) -> BettiProfile:
 
 
 def betti_of_graph(g: Graph, coeff: str = "gf2", budget: int | None = None) -> BettiProfile:
-    """Homology of I(g): fold-reduce, compute on the residual, shift by the suspensions."""
+    """Homology of I(g): fold-reduce, compute on the residual, shift by the suspensions.
+
+    `coeff` is "int" or "gf<p>" with p prime; anything else raises ValueError.
+    """
+    p = _field_prime(coeff)
     trace = reduce_graph(g)
     if trace.contractible:
         return BettiProfile({}, (), coeff)
-    if coeff == "int":
+    if p is None:
         profile = integral_homology(trace.residual, budget=budget)
-    elif coeff.startswith("gf"):
-        profile = betti_over_field(trace.residual, int(coeff[2:]), budget=budget)
     else:
-        raise ValueError(f"unknown coefficient descriptor {coeff!r}")
+        profile = betti_over_field(trace.residual, p, budget=budget)
     return profile.shifted(trace.suspensions)
 
 

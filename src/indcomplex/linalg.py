@@ -2,11 +2,14 @@
 
 Ranks are computed by a left-to-right column reduction: each column is
 reduced against the pivot columns found so far, keyed by their highest
-nonzero row.  Over GF(2) columns are plain Python ints used as bitmasks;
-over GF(p) and the integers they are dicts mapping row index to coefficient.
-Integer elimination uses extended-gcd column combinations (unimodular, so
-the column space is preserved), which also certifies a torsion-free
-cokernel whenever every pivot ends up at +-1.
+nonzero row.  Over GF(2) a column is the set of its nonzero rows and adding
+a pivot column is a symmetric difference; over GF(p) and the integers
+columns are dicts mapping row index to coefficient.  The field reductions
+return their pivot rows, which a caller can use to clear (skip) columns of
+the next boundary down that are known to reduce to zero.  Integer
+elimination uses extended-gcd column combinations (unimodular, so the
+column space is preserved), which also certifies a torsion-free cokernel
+whenever every pivot ends up at +-1.
 """
 
 from __future__ import annotations
@@ -15,28 +18,33 @@ from math import gcd
 from typing import Iterable, Mapping
 
 
-def gf2_rank(columns: Iterable[int]) -> int:
-    """Rank over GF(2) of a matrix given as column bitmasks over rows."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
+def gf2_rank(columns: Iterable[Iterable[int]]) -> set[int]:
+    """Pivot rows of a GF(2) matrix given as columns of nonzero row indices.
+
+    The rank is the number of pivot rows.  A column's pivot is its highest
+    row; each working column is a set, so adding a pivot column is `^=`.
+    """
+    pivots: dict[int, set[int]] = {}
+    for rows in columns:
+        col = set(rows)
         while col:
-            r = col.bit_length() - 1
+            r = max(col)
             piv = pivots.get(r)
             if piv is None:
                 pivots[r] = col
-                rank += 1
                 break
             col ^= piv
-    return rank
+    return set(pivots)
 
 
-def modp_rank(columns: Iterable[Mapping[int, int]], p: int) -> int:
-    """Rank over GF(p) of a matrix given as sparse columns (row -> value)."""
+def modp_rank(columns: Iterable[Mapping[int, int]], p: int) -> set[int]:
+    """Pivot rows of a GF(p) matrix given as sparse columns (row -> value).
+
+    The rank is the number of pivot rows.
+    """
     if p < 2:
         raise ValueError(f"modulus must be a prime >= 2, got {p}")
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for raw in columns:
         col = {r: v % p for r, v in raw.items() if v % p}
         while col:
@@ -45,7 +53,6 @@ def modp_rank(columns: Iterable[Mapping[int, int]], p: int) -> int:
             if piv is None:
                 inv = pow(col[r], -1, p)
                 pivots[r] = {k: (v * inv) % p for k, v in col.items()}
-                rank += 1
                 break
             c = col[r]
             nxt = dict(col)
@@ -56,7 +63,7 @@ def modp_rank(columns: Iterable[Mapping[int, int]], p: int) -> int:
                 else:
                     nxt.pop(k, None)
             col = nxt
-    return rank
+    return set(pivots)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -213,8 +213,8 @@ def verify_fold_soundness(
 
 
 def verify_deep_homology() -> VerificationReport:
-    """Stretch check: every family at n = 5 over GF(2) against the closed forms."""
-    return verify_small_homology(max_n=5, coeff="gf2", suite_name="deep_homology")
+    """Stretch check: every family at n <= 6 over GF(2) against the closed forms."""
+    return verify_small_homology(max_n=6, coeff="gf2", suite_name="deep_homology")
 
 
 # Every suite takes the seed; only fold_soundness draws random inputs.

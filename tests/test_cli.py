@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +58,35 @@ class TestHomology:
         code, _, err = run(capsys, "homology", "--family", "gamma", "--n", "3")
         assert code == EXIT_BUDGET
         assert "face budget exceeded" in err
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("indcomplex.cli.betti_of_family", exhausted)
+        code, out, err = run(capsys, "homology", "--family", "gamma", "--n", "6")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert "out of memory" in err
+
+    @pytest.mark.deep
+    def test_a7_under_1gib_address_space(self):
+        # a(7) has 0.84 M faces after fold reduction; the cap applies to the
+        # child process only.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "indcomplex.cli", "homology", "--family", "a", "--n", "7"],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=cap_address_space,
+            timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["reduced_betti"] == {"9": 2}
 
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

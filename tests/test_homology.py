@@ -8,6 +8,7 @@ from indcomplex import (
     FaceBudgetExceeded,
     Family,
     betti_of_family,
+    betti_of_graph,
     betti_over_field,
     build_family,
     build_gamma,
@@ -18,6 +19,7 @@ from indcomplex import (
     integral_homology,
     predict_family,
 )
+from indcomplex import linalg
 from indcomplex.homology import BettiProfile, _boundary_rows
 
 from conftest import disjoint_union, random_grid_subgraph
@@ -56,6 +58,15 @@ class TestBoundaryRows:
                             acc[r2] = acc.get(r2, 0) + sign * s2
                     assert all(v == 0 for v in acc.values())
 
+    def test_cleared_faces_are_skipped(self, rng):
+        for _ in range(10):
+            faces = faces_by_dimension(random_grid_subgraph(rng, max_n=3, max_vertices=12))
+            for d in range(max(faces) + 1):
+                full = list(_boundary_rows(faces, d))
+                cleared = set(rng.sample(range(len(full)), len(full) // 2))
+                kept = [col for i, col in enumerate(full) if i not in cleared]
+                assert list(_boundary_rows(faces, d, cleared)) == kept
+
 
 class TestBettiOverField:
     def test_gamma_2x6_is_s2(self):
@@ -74,6 +85,27 @@ class TestBettiOverField:
 
     def test_single_vertex_contractible(self):
         assert betti_over_field(build_gamma(1, 1), 2).reduced_betti == {}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_clearing_matches_uncleared_ranks(self, rng, p):
+        # Oracle: every boundary's full rank, each computed on its own.
+        for _ in range(25):
+            g = random_grid_subgraph(rng, max_n=3, max_vertices=14)
+            faces = faces_by_dimension(g)
+            ranks = {
+                d: len(
+                    linalg.gf2_rank(_boundary_rows(faces, d))
+                    if p == 2
+                    else linalg.modp_rank(_boundary_rows(faces, d), p)
+                )
+                for d in range(max(faces) + 1)
+            }
+            expected = {}
+            for d, group in faces.items():
+                b = len(group) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+                if b:
+                    expected[d] = b
+            assert betti_over_field(g, p).reduced_betti == expected
 
     def test_gf2_equals_gf3_small(self):
         for kind in ("x", "y", "a", "b"):
@@ -140,6 +172,26 @@ class TestBettiOfFamily:
     def test_unknown_coefficient(self):
         with pytest.raises(ValueError):
             betti_of_family(Family("y", 1), coeff="rational")
+
+    @pytest.mark.parametrize("coeff", ["gf4", "gf6", "gf1", "gfx", "gf03", "gf"])
+    def test_non_field_coefficient(self, coeff):
+        with pytest.raises(ValueError):
+            betti_of_family(Family("y", 1), coeff=coeff)
+
+    def test_coefficient_checked_before_fold_reduction(self):
+        # x(3) folds down to nothing, so no elimination would ever see p.
+        assert betti_of_family(Family("x", 3), coeff="gf5").reduced_betti == {}
+        with pytest.raises(ValueError):
+            betti_of_family(Family("x", 3), coeff="gf1")
+
+    def test_gf5_accepted(self):
+        profile = betti_of_graph(build_gamma(2, 6), coeff="gf5")
+        assert profile.reduced_betti == {2: 1}
+        assert profile.coefficient == "gf5"
+
+    def test_non_prime_field_rejected(self):
+        with pytest.raises(ValueError):
+            betti_over_field(build_gamma(2, 6), 4)
 
 
 class TestProperties:

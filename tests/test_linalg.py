@@ -91,10 +91,10 @@ def as_columns(rows):
     return [{i: rows[i][j] for i in range(m) if rows[i][j]} for j in range(n)]
 
 
-def as_bit_columns(rows):
+def as_row_sets(rows):
     m = len(rows)
     n = len(rows[0]) if rows else 0
-    return [sum(1 << i for i in range(m) if rows[i][j] % 2) for j in range(n)]
+    return [{i for i in range(m) if rows[i][j] % 2} for j in range(n)]
 
 
 small_matrix = st.integers(1, 4).flatmap(
@@ -112,12 +112,12 @@ class TestRanks:
     @given(small_matrix)
     @settings(max_examples=150, deadline=None)
     def test_gf2_rank_matches_minor_oracle(self, rows):
-        assert gf2_rank(as_bit_columns(rows)) == modp_rank_dense_oracle(rows, 2)
+        assert len(gf2_rank(as_row_sets(rows))) == modp_rank_dense_oracle(rows, 2)
 
     @given(small_matrix, st.sampled_from([2, 3, 5]))
     @settings(max_examples=150, deadline=None)
     def test_modp_rank_matches_minor_oracle(self, rows, p):
-        assert modp_rank(as_columns(rows), p) == modp_rank_dense_oracle(rows, p)
+        assert len(modp_rank(as_columns(rows), p)) == modp_rank_dense_oracle(rows, p)
 
     @given(small_matrix)
     @settings(max_examples=150, deadline=None)
@@ -125,9 +125,15 @@ class TestRanks:
         assert len(integer_column_echelon(as_columns(rows))) == rational_rank(rows)
 
     def test_empty_and_zero(self):
-        assert gf2_rank([]) == 0
-        assert modp_rank([{}, {}], 3) == 0
+        assert gf2_rank([]) == set()
+        assert gf2_rank([set(), []]) == set()
+        assert modp_rank([{}, {}], 3) == set()
         assert len(integer_column_echelon([{}])) == 0
+
+    def test_pivot_rows(self):
+        # Column 2 reduces to zero against column 0; column 1's pivot is row 1.
+        assert gf2_rank([[0, 2], [1, 2], [0, 2], [0]]) == {0, 1, 2}
+        assert modp_rank([{0: 1, 2: 2}, {1: 1, 2: 1}, {0: 2, 2: 4}], 5) == {1, 2}
 
     def test_modp_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
