@@ -7,7 +7,6 @@ closed-form homotopy types.
 """
 
 from .faces import (
-    DEFAULT_FACE_BUDGET,
     FaceBudgetExceeded,
     FVector,
     count_faces,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BettiProfile",
     "Cone",
-    "DEFAULT_FACE_BUDGET",
     "FVector",
     "FaceBudgetExceeded",
     "Family",

@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("--family", choices=FAMILY_KINDS, required=True)
     p_hom.add_argument("--n", type=int, required=True)
     p_hom.add_argument("--k", type=int, default=6)
-    p_hom.add_argument("--coeff", choices=("gf2", "gf3", "int"), default="gf2")
+    p_hom.add_argument("--coeff", default="gf2", help="int or gf<p>, p prime (default: gf2)")
     p_hom.set_defaults(func=_cmd_homology)
 
     p_euler = sub.add_parser("euler", help="Euler characteristic")

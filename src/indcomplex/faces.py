@@ -2,94 +2,75 @@
 
 A graph is treated implicitly as its independence complex: faces are the
 independent vertex sets, including the empty face.  Enumeration is bounded
-by a configurable face budget (env var INDCOMPLEX_FACE_BUDGET) and guarded
-by an exact pre-count computed per connected component, so oversized inputs
-are rejected deterministically before any memory is committed.
+by a face budget derived from the memory the process may use, and guarded by
+an exact pre-count, so oversized inputs are rejected deterministically before
+any memory is committed.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import Graph, delete_vertices
 
-DEFAULT_FACE_BUDGET = 20_000_000
-FACE_BUDGET_ENV = "INDCOMPLEX_FACE_BUDGET"
-
-MAX_ENUM_VERTICES = 128
-# Components larger than this are rejected by the exact pre-count.
-MAX_COMPONENT_VERTICES = 36
-_COUNT_MEMO_CAP = 2_000_000
+# Peak memory per enumerated face, with headroom.  Peak RSS over faces,
+# interpreter included, from face lists through elimination (CPython 3.11,
+# x86-64): 279 B on the Γ(6,6) and a(7) residuals over GF(2), 284 B on the
+# Γ(5,6) residual over Z.
+BYTES_PER_FACE = 512
 
 
 class FaceBudgetExceeded(RuntimeError):
-    """Enumeration would exceed the face budget (or its pre-count guard)."""
+    """Enumeration would exceed the face budget."""
 
 
 def face_budget() -> int:
-    raw = os.environ.get(FACE_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_FACE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FaceBudgetExceeded(f"invalid {FACE_BUDGET_ENV}={raw!r}") from None
-    if value < 1:
-        raise FaceBudgetExceeded(f"invalid {FACE_BUDGET_ENV}={raw!r}")
-    return value
+    """Faces that fit in memory: the address-space limit (the RLIMIT_AS soft
+    limit, or physical RAM when there is none) over BYTES_PER_FACE."""
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit == resource.RLIM_INFINITY:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return limit // BYTES_PER_FACE
 
 
 def count_faces(g: Graph) -> int:
     """Exact number of independent sets of g (empty set included).
 
-    Works component-wise and multiplies; rejects components with more than
-    MAX_COMPONENT_VERTICES vertices rather than risk an expensive count.
+    Sweeps the vertices in order, counting the partial faces on the vertices
+    seen so far by the set of later vertices they ban.  Distinct states have
+    distinct partial faces, so once the states outnumber the face budget so
+    do the faces, and FaceBudgetExceeded is raised.
     """
-    if len(g) > MAX_ENUM_VERTICES:
-        raise FaceBudgetExceeded(
-            f"graph has {len(g)} vertices; enumeration is capped at {MAX_ENUM_VERTICES}"
-        )
-    total = 1
-    for comp in g.components():
-        size = comp.bit_count()
-        if size > MAX_COMPONENT_VERTICES:
+    budget = face_budget()
+    states = {0: 1}
+    for v, nbrs in enumerate(g.neighbor_masks):
+        later = nbrs >> (v + 1)
+        step: dict[int, int] = {}
+        for banned, count in states.items():
+            rest = banned >> 1
+            step[rest] = step.get(rest, 0) + count
+            if not banned & 1:
+                key = rest | later
+                step[key] = step.get(key, 0) + count
+        states = step
+        if len(states) > budget:
             raise FaceBudgetExceeded(
-                f"component with {size} vertices exceeds the exact-count cap "
-                f"of {MAX_COMPONENT_VERTICES}"
+                f"the first {v + 1} of {len(g)} vertices already have more than "
+                f"{budget} faces, the budget"
             )
-        total *= _count_component(g, comp)
-    return total
+    return sum(states.values())
 
 
-def _count_component(g: Graph, comp_mask: int) -> int:
-    masks = g.neighbor_masks
-    memo: dict[int, int] = {}
-
-    def count(mask: int) -> int:
-        if mask == 0:
-            return 1
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        if len(memo) > _COUNT_MEMO_CAP:
-            raise FaceBudgetExceeded("independent-set count exceeded its memo cap")
-        v = (mask & -mask).bit_length() - 1
-        result = count(mask & ~(1 << v)) + count(mask & ~(masks[v] | (1 << v)))
-        memo[mask] = result
-        return result
-
-    return count(comp_mask)
-
-
-def enumerate_faces(g: Graph, budget: int | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_faces(g: Graph) -> Iterator[tuple[int, ...]]:
     """Yield every independent set of g exactly once, in lexicographic order
     of sorted member tuples, starting with the empty face."""
-    limit = face_budget() if budget is None else budget
     total = count_faces(g)
-    if total > limit:
-        raise FaceBudgetExceeded(f"{total} faces exceed the budget of {limit}")
+    budget = face_budget()
+    if total > budget:
+        raise FaceBudgetExceeded(f"{total} faces exceed the budget of {budget}")
     masks = g.neighbor_masks
     nv = len(g)
 
@@ -106,10 +87,10 @@ def enumerate_faces(g: Graph, budget: int | None = None) -> Iterator[tuple[int, 
     yield from rec([], 0, 0)
 
 
-def faces_by_dimension(g: Graph, budget: int | None = None) -> dict[int, list[tuple[int, ...]]]:
+def faces_by_dimension(g: Graph) -> dict[int, list[tuple[int, ...]]]:
     """Faces grouped by dimension (|face| - 1); each group stays in lex order."""
     out: dict[int, list[tuple[int, ...]]] = {}
-    for face in enumerate_faces(g, budget=budget):
+    for face in enumerate_faces(g):
         out.setdefault(len(face) - 1, []).append(face)
     return out
 
@@ -133,9 +114,9 @@ class FVector:
         return 1 + sum(self.counts)
 
 
-def f_vector(g: Graph, budget: int | None = None) -> FVector:
+def f_vector(g: Graph) -> FVector:
     counts: list[int] = []
-    for face in enumerate_faces(g, budget=budget):
+    for face in enumerate_faces(g):
         if not face:
             continue
         size = len(face)

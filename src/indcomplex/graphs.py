@@ -132,28 +132,6 @@ class Graph:
         self._check_index(v)
         return self.neighbor_masks[v].bit_count()
 
-    def components(self) -> list[int]:
-        """Connected components as vertex bitmasks, ordered by least vertex."""
-        seen = 0
-        out = []
-        for start in range(len(self.vertices)):
-            if seen >> start & 1:
-                continue
-            comp = 1 << start
-            frontier = 1 << start
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    nxt |= self.neighbor_masks[v]
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            out.append(comp)
-        return out
-
     def _check_index(self, v: int) -> None:
         if not (0 <= v < len(self.vertices)):
             raise GraphError(f"vertex index {v} out of range")

@@ -26,12 +26,9 @@ from math import isqrt
 from typing import Collection, Iterator
 
 from . import linalg
-from .faces import FaceBudgetExceeded, faces_by_dimension
+from .faces import faces_by_dimension
 from .fold import reduce_graph
 from .graphs import Family, Graph, build_family
-
-# Integral Smith reduction is only attempted below this face count.
-SNF_FACE_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -112,11 +109,11 @@ def _field_prime(coeff: str) -> int | None:
     return int(match[1])
 
 
-def betti_over_field(g: Graph, p: int, budget: int | None = None) -> BettiProfile:
+def betti_over_field(g: Graph, p: int) -> BettiProfile:
     """Reduced Betti numbers of I(g) over GF(p), without fold reduction."""
     if not _is_prime(p):
         raise ValueError(f"GF({p}) is not a field: {p} is not prime")
-    faces = faces_by_dimension(g, budget=budget)
+    faces = faces_by_dimension(g)
     ranks: dict[int, int] = {}
     # Pivot rows of the boundary one dimension up: the d-faces to clear.
     pivots: set[int] = set()
@@ -127,14 +124,9 @@ def betti_over_field(g: Graph, p: int, budget: int | None = None) -> BettiProfil
     return BettiProfile(_betti_from_ranks(faces, ranks), (), f"gf{p}")
 
 
-def integral_homology(g: Graph, budget: int | None = None) -> BettiProfile:
+def integral_homology(g: Graph) -> BettiProfile:
     """Reduced integral homology: Betti numbers plus torsion invariant factors."""
-    faces = faces_by_dimension(g, budget=budget)
-    total = sum(len(v) for v in faces.values())
-    if total > SNF_FACE_LIMIT:
-        raise FaceBudgetExceeded(
-            f"{total} faces exceed the integral Smith-reduction limit of {SNF_FACE_LIMIT}"
-        )
+    faces = faces_by_dimension(g)
     ranks: dict[int, int] = {}
     torsion: list[tuple[int, int]] = []
     # No clearing over Z: a cleared column is only rationally dependent on
@@ -148,7 +140,7 @@ def integral_homology(g: Graph, budget: int | None = None) -> BettiProfile:
     return BettiProfile(_betti_from_ranks(faces, ranks), tuple(torsion), "int")
 
 
-def betti_of_graph(g: Graph, coeff: str = "gf2", budget: int | None = None) -> BettiProfile:
+def betti_of_graph(g: Graph, coeff: str = "gf2") -> BettiProfile:
     """Homology of I(g): fold-reduce, compute on the residual, shift by the suspensions.
 
     `coeff` is "int" or "gf<p>" with p prime; anything else raises ValueError.
@@ -158,12 +150,12 @@ def betti_of_graph(g: Graph, coeff: str = "gf2", budget: int | None = None) -> B
     if trace.contractible:
         return BettiProfile({}, (), coeff)
     if p is None:
-        profile = integral_homology(trace.residual, budget=budget)
+        profile = integral_homology(trace.residual)
     else:
-        profile = betti_over_field(trace.residual, p, budget=budget)
+        profile = betti_over_field(trace.residual, p)
     return profile.shifted(trace.suspensions)
 
 
-def betti_of_family(f: Family, coeff: str = "gf2", budget: int | None = None) -> BettiProfile:
+def betti_of_family(f: Family, coeff: str = "gf2") -> BettiProfile:
     """Build the family graph, fold-reduce, compute homology, shift suspensions."""
-    return betti_of_graph(build_family(f), coeff=coeff, budget=budget)
+    return betti_of_graph(build_family(f), coeff=coeff)

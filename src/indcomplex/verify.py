@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .faces import FaceBudgetExceeded
+from .faces import FaceBudgetExceeded, link_graph
 from .graphs import Family, build_family, build_gamma, delete_vertices
 from .homology import betti_of_family, betti_of_graph, betti_over_field
 from .predictor import expected_f6, predict_family, predict_gamma
@@ -154,7 +154,7 @@ def verify_splittings(max_n: int = 5) -> VerificationReport:
         )
         # a(n) - N[v_n] vs S^3 b(n-3)
         g = build_family(Family("a", n))
-        link = delete_vertices(g, g.neighborhood(g.index((n, 3)), closed=True))
+        link = link_graph(g, g.index((n, 3)))
         add_case(
             f"a_deleted_nbhd:n={n}",
             _add_shifted((betti_fam("b", n - 3), 3, 1)),
@@ -175,7 +175,7 @@ def verify_splittings(max_n: int = 5) -> VerificationReport:
         )
         # b(n) - N[v_n] vs S^5 a(n-4)
         g = build_family(Family("b", n))
-        link = delete_vertices(g, g.neighborhood(g.index((n, 3)), closed=True))
+        link = link_graph(g, g.index((n, 3)))
         add_case(
             f"b_deleted_nbhd:n={n}",
             _add_shifted((betti_fam("a", n - 4), 5, 1)),

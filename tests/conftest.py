@@ -1,5 +1,10 @@
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +47,31 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 @pytest.fixture
 def rng():
     return random.Random(987123)
+
+
+@pytest.fixture
+def face_budget_of(monkeypatch):
+    """Call with a face count to make it the face budget for one test."""
+
+    def set_budget(faces: int) -> None:
+        monkeypatch.setattr("indcomplex.faces.face_budget", lambda: faces)
+
+    return set_budget
+
+
+def run_capped(args: list[str], address_space: int, timeout: float = 300):
+    """Run `python args...` with the package importable, in a child process
+    whose address space (RLIMIT_AS) is capped at `address_space` bytes."""
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap,
+        timeout=timeout,
+    )

@@ -1,15 +1,13 @@
 import json
-import os
-import resource
-import subprocess
-import sys
-from pathlib import Path
+import time
 
 import pytest
 
 from indcomplex import Family, build_family, build_gamma, graph_to_json_dict
 from indcomplex.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from indcomplex.verify import Case, VerificationReport
+
+from conftest import run_capped
 
 
 def run(capsys, *argv):
@@ -53,11 +51,33 @@ class TestHomology:
         assert payload["reduced_betti"] == {"5": 2}
         assert payload["torsion"] == []
 
-    def test_budget_abort(self, capsys, monkeypatch):
-        monkeypatch.setenv("INDCOMPLEX_FACE_BUDGET", "10")
+    def test_any_prime_field(self, capsys):
+        code, out, _ = run(capsys, "homology", "--family", "gamma", "--n", "3", "--coeff", "gf5")
+        assert code == EXIT_OK
+        assert json.loads(out)["reduced_betti"] == {"4": 1}
+
+    def test_non_field_coefficient_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "homology", "--family", "gamma", "--n", "3", "--coeff", "gf4")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unknown coefficient descriptor" in err
+
+    def test_budget_abort(self, capsys, face_budget_of):
+        face_budget_of(10)
         code, _, err = run(capsys, "homology", "--family", "gamma", "--n", "3")
         assert code == EXIT_BUDGET
         assert "face budget exceeded" in err
+
+    def test_budget_abort_under_512mib_address_space(self):
+        # Γ(6,6) fold-reduces to 1.89 M faces; 512 MiB admits about 1.05 M,
+        # so the count refuses it before any face is enumerated.
+        started = time.perf_counter()
+        proc = run_capped(
+            ["-m", "indcomplex.cli", "homology", "--family", "gamma", "--n", "6"], 512 << 20
+        )
+        assert time.perf_counter() - started < 1.0
+        assert proc.returncode == EXIT_BUDGET
+        assert "face budget exceeded" in proc.stderr
 
     def test_out_of_memory_exits_3(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -73,17 +93,8 @@ class TestHomology:
     def test_a7_under_1gib_address_space(self):
         # a(7) has 0.84 M faces after fold reduction; the cap applies to the
         # child process only.
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "indcomplex.cli", "homology", "--family", "a", "--n", "7"],
-            capture_output=True,
-            text=True,
-            env=env,
-            preexec_fn=cap_address_space,
-            timeout=300,
+        proc = run_capped(
+            ["-m", "indcomplex.cli", "homology", "--family", "a", "--n", "7"], 1 << 30
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["reduced_betti"] == {"9": 2}

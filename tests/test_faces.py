@@ -15,9 +15,14 @@ from indcomplex import (
     f_vector,
     link_graph,
 )
-from indcomplex.faces import FVector, face_budget
+from indcomplex.faces import BYTES_PER_FACE, FVector
 
-from conftest import brute_force_independent_sets, disjoint_union, random_grid_subgraph
+from conftest import (
+    brute_force_independent_sets,
+    disjoint_union,
+    random_grid_subgraph,
+    run_capped,
+)
 
 
 class TestEnumerateFaces:
@@ -53,21 +58,28 @@ class TestEnumerateFaces:
         g = random_grid_subgraph(random.Random(seed), max_n=2, max_vertices=8)
         assert list(enumerate_faces(g)) == brute_force_independent_sets(g)
 
-    def test_budget_exceeded(self):
-        g = build_gamma(3, 3)
+    def test_budget_exceeded(self, face_budget_of):
+        face_budget_of(5)
         with pytest.raises(FaceBudgetExceeded):
-            list(enumerate_faces(g, budget=5))
+            list(enumerate_faces(build_gamma(3, 3)))
+        # Under 4 the sweep's own states already outnumber the budget.
+        face_budget_of(4)
+        with pytest.raises(FaceBudgetExceeded, match="first 3 of 9 vertices"):
+            count_faces(build_gamma(3, 3))
 
-    def test_env_budget_override(self, monkeypatch):
-        monkeypatch.setenv("INDCOMPLEX_FACE_BUDGET", "3")
-        assert face_budget() == 3
-        with pytest.raises(FaceBudgetExceeded):
-            list(enumerate_faces(build_gamma(2, 2)))
+    def test_budget_follows_address_space_limit(self):
+        proc = run_capped(
+            ["-c", "from indcomplex.faces import face_budget; print(face_budget())"], 1 << 30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == (1 << 30) // BYTES_PER_FACE
 
-    def test_component_size_guard(self):
-        # A 42-vertex grid is one component above the exact-count cap.
+    def test_count_has_no_vertex_cap(self):
+        # 42 vertices in one component: the sweep counts it exactly.
+        assert count_faces(build_gamma(7, 6)) == 69_050_253
+        # A 2000-vertex path is refused by its count, not by recursion depth.
         with pytest.raises(FaceBudgetExceeded):
-            count_faces(build_gamma(7, 6))
+            next(enumerate_faces(build_gamma(1, 2000)))
 
 
 class TestFVector:
@@ -89,6 +101,18 @@ class TestFVector:
         for n in (1, 2, 3):
             g = build_gamma(n, 4)
             assert count_faces(g) == len(list(enumerate_faces(g)))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_count_faces_on_disjoint_unions(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        g = disjoint_union(
+            random_grid_subgraph(rng, max_n=3, max_vertices=7),
+            random_grid_subgraph(rng, max_n=3, max_vertices=7),
+        )
+        assert count_faces(g) == len(brute_force_independent_sets(g))
 
 
 class TestEuler:
