@@ -65,7 +65,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
-    fam = Family(args.family, args.n, args.k if args.family == "gamma" else 6)
+    # Family rejects any k but 6 outside gamma, so a given --k is never dropped.
+    fam = Family(args.family, args.n, 6 if args.k is None else args.k)
     profile = betti_of_family(fam, coeff=args.coeff)
     _emit(
         {
@@ -90,6 +91,10 @@ def _parse_sweep(spec: str) -> tuple[int, int]:
 
 def _cmd_euler(args: argparse.Namespace) -> int:
     if args.sweep:
+        if args.n is not None or args.method != "transfer":
+            print("euler: --sweep runs the transfer method over A..B; "
+                  "it takes no --n and no other --method", file=sys.stderr)
+            return EXIT_USAGE
         lo, hi = args.sweep
         values = euler_sweep(args.k, hi)
         writer = csv.writer(sys.stdout)
@@ -177,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom = sub.add_parser("homology", help="fold-reduced homology of a family graph")
     p_hom.add_argument("--family", choices=FAMILY_KINDS, required=True)
     p_hom.add_argument("--n", type=int, required=True)
-    p_hom.add_argument("--k", type=int, default=6)
+    p_hom.add_argument("--k", type=int, help="rows of the gamma grid (default: 6)")
     p_hom.add_argument("--coeff", default="gf2", help="int or gf<p>, p prime (default: gf2)")
     p_hom.set_defaults(func=_cmd_homology)
 
@@ -187,7 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_euler.add_argument(
         "--method", choices=("transfer", "enumerate", "predict"), default="transfer"
     )
-    p_euler.add_argument("--sweep", type=_parse_sweep, metavar="A..B")
+    p_euler.add_argument(
+        "--sweep", type=_parse_sweep, metavar="A..B",
+        help="CSV of chi for n = A..B by the transfer sweep",
+    )
     p_euler.add_argument("--input", help="graph JSON file for --method enumerate")
     p_euler.set_defaults(func=_cmd_euler)
 

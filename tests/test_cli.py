@@ -99,6 +99,17 @@ class TestHomology:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["reduced_betti"] == {"9": 2}
 
+    def test_gamma_takes_k(self, capsys):
+        code, out, _ = run(capsys, "homology", "--family", "gamma", "--n", "3", "--k", "4")
+        assert code == EXIT_OK
+        assert json.loads(out)["reduced_betti"] == {"2": 1}
+
+    def test_k_for_six_row_family_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "homology", "--family", "a", "--n", "3", "--k", "4")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "only defined for k = 6" in err
+
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["homology", "--family", "q", "--n", "2"])
@@ -152,6 +163,24 @@ class TestEuler:
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5, 6]
         assert [int(r[1]) for r in rows] == [0, 2, 2, -2, 0, 4]
+
+    @pytest.mark.parametrize(
+        "extra", [("--n", "9"), ("--method", "predict"), ("--method", "enumerate")]
+    )
+    def test_sweep_rejects_n_and_other_methods(self, capsys, extra):
+        code, out, err = run(capsys, "euler", "--sweep", "1..3", "--k", "4", *extra)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--sweep" in err
+
+    def test_width_20_under_512mib_address_space(self, capsys):
+        proc = run_capped(
+            ["-m", "indcomplex.cli", "euler", "--k", "20", "--n", "6"], 512 << 20
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        code, out, _ = run(capsys, "euler", "--k", "6", "--n", "20")
+        assert code == EXIT_OK
+        assert json.loads(proc.stdout)["chi"] == json.loads(out)["chi"]
 
     def test_sweep_bad_range(self, capsys):
         with pytest.raises(SystemExit) as exc:

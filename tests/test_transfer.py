@@ -63,6 +63,34 @@ class TestTransferModel:
                 entry(model, s, t) * vec[s] for s in range(len(model.states))
             )
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_step_matches_matrix_definition(self, data):
+        k = data.draw(st.integers(1, 9))
+        model = build_transfer_model(k)
+        size = len(model.states)
+        vec = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
+        before = list(vec)
+        stepped = model.step(vec)
+        assert vec == before
+        assert stepped == [
+            sum(entry(model, s, t) * vec[s] for s in range(size)) for t in range(size)
+        ]
+
+    def test_compatible_counts_follow_ladder(self):
+        # Nonzero entries = independent sets of the 2-by-k ladder:
+        # a(1) = 3, a(2) = 7, a(k) = 2 a(k - 1) + a(k - 2).
+        expected = [3, 7]
+        while len(expected) < 10:
+            expected.append(2 * expected[-1] + expected[-2])
+        for k in range(1, 11):
+            model = build_transfer_model(k)
+            assert sum(len(c) for c in model.compatible) == expected[k - 1]
+            assert model.compatible == tuple(
+                tuple(s for s in range(len(model.states)) if entry(model, s, t))
+                for t in range(len(model.states))
+            )
+
     def test_initial_is_signs(self):
         model = build_transfer_model(4)
         assert model.initial() == list(model.signs)
@@ -89,6 +117,11 @@ class TestEulerChi:
         for n in range(1, 8):
             for k in range(1, 8):
                 assert euler_chi(n, k) == euler_chi(k, n)
+
+    def test_transpose_symmetry_at_width_20(self):
+        # 17,711 states per column; the column-pair matrix would hold 54.6 M
+        # entries.
+        assert euler_sweep(20, 6) == [euler_sweep(n, 20)[-1] for n in range(1, 7)]
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
