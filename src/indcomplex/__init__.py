@@ -10,7 +10,6 @@ from .faces import (
     FaceBudgetExceeded,
     FVector,
     count_faces,
-    deletion_graph,
     enumerate_faces,
     euler_from_fvector,
     f_vector,
@@ -90,7 +89,6 @@ __all__ = [
     "decompose_even",
     "decompose_odd",
     "delete_vertices",
-    "deletion_graph",
     "enumerate_faces",
     "euler_chi",
     "euler_from_fvector",

@@ -42,8 +42,11 @@ def _emit(payload: dict) -> None:
 
 def _load_graph(path: str | None):
     if path and path != "-":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise GraphError(f"cannot read {path}: {exc.strerror}") from None
     else:
         data = json.load(sys.stdin)
     return graph_from_json_dict(data)
@@ -90,6 +93,10 @@ def _parse_sweep(spec: str) -> tuple[int, int]:
 
 
 def _cmd_euler(args: argparse.Namespace) -> int:
+    if args.input is not None and (args.n is not None or args.sweep or args.method != "enumerate"):
+        print("euler: --input is read only by --method enumerate, "
+              "without --n or --sweep", file=sys.stderr)
+        return EXIT_USAGE
     if args.sweep:
         if args.n is not None or args.method != "transfer":
             print("euler: --sweep runs the transfer method over A..B; "

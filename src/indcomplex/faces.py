@@ -131,11 +131,6 @@ def euler_from_fvector(fv: FVector) -> int:
     return sum((-1) ** i * c for i, c in enumerate(fv.counts))
 
 
-def deletion_graph(g: Graph, v: int) -> Graph:
-    """G - v; its independence complex is I(G) with v removed."""
-    return delete_vertices(g, [v])
-
-
 def link_graph(g: Graph, v: int) -> Graph:
     """G - N[v]; its independence complex is the link of v in I(G)."""
     return delete_vertices(g, g.neighborhood(v, closed=True))

@@ -8,7 +8,9 @@ Three unconditional moves are applied exhaustively, in priority order:
   homotopy type of the independence complex.
 
 The scan order is fixed (lowest indices first) so the trace is a pure
-function of the input graph.
+function of the input graph.  A move only clears bits of one vertex mask
+over the input graph's neighbor masks, so no graph is rebuilt while
+reducing; the residual graph is built once, from the final mask.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .graphs import Graph, Vertex, delete_vertices
+from .graphs import Graph, Vertex, delete_vertices, graph_to_json_dict, set_bits
 from .wedge import WedgeOfSpheres
 
 
@@ -63,8 +65,6 @@ class ReductionTrace:
     residual: Graph
 
     def to_json_dict(self) -> dict:
-        from .graphs import graph_to_json_dict
-
         return {
             "moves": [m.to_json_dict() for m in self.moves],
             "suspensions": self.suspensions,
@@ -73,42 +73,27 @@ class ReductionTrace:
         }
 
 
-def find_fold(g: Graph) -> tuple[int, int] | None:
-    """First pair (v, w) with N(v) contained in N(w), least by (w, v).
+def find_fold(g: Graph, alive: int) -> tuple[int, int] | None:
+    """First pair (v, w) of the subgraph of g induced on the vertex mask
+    alive with N(v) contained in N(w), least by (w, v); indices are g's.
 
     Inclusion may be non-strict; equal neighborhoods (twins) are only
-    considered in the orientation that removes the larger index.
+    considered in the orientation that removes the larger index.  The only
+    candidates for v are the isolated vertices and the vertices at distance
+    2 from w: if u is in N(v) then u is in N(w), so v is in N(u).
     """
     masks = g.neighbor_masks
-    nv = len(g)
-    for w in range(nv):
-        mw = masks[w]
-        for v in range(nv):
-            if v == w:
-                continue
-            mv = masks[v]
-            if mv & ~mw:
-                continue
-            if mv == mw and w < v:
+    nbrs = {v: masks[v] & alive for v in set_bits(alive)}
+    isolated = sum(1 << v for v, mask in nbrs.items() if not mask)
+    for w, mw in nbrs.items():
+        near = isolated
+        for u in set_bits(mw):
+            near |= nbrs[u]
+        for v in set_bits(near & ~(1 << w)):
+            mv = nbrs[v]
+            if mv & ~mw or (mv == mw and w < v):
                 continue
             return (v, w)
-    return None
-
-
-def _find_isolated(g: Graph) -> int | None:
-    for i, mask in enumerate(g.neighbor_masks):
-        if mask == 0:
-            return i
-    return None
-
-
-def _find_k2_component(g: Graph) -> tuple[int, int] | None:
-    masks = g.neighbor_masks
-    for a, mask in enumerate(masks):
-        if mask.bit_count() == 1:
-            b = mask.bit_length() - 1
-            if masks[b] == 1 << a:
-                return (a, b)
     return None
 
 
@@ -117,30 +102,38 @@ def reduce_graph(g: Graph) -> ReductionTrace:
 
     I(residual) suspended `suspensions` times is homotopy equivalent to
     I(g); if `contractible` is set the whole complex is contractible and
-    reduction stopped at the cone move.
+    reduction stopped at the cone move (the residual keeps the cone vertex).
+    The moves only clear bits of one vertex mask over g; the residual is
+    built from it once, at the end.
     """
+    masks = g.neighbor_masks
+    everything = alive = (1 << len(g)) - 1
     moves: list[Move] = []
     suspensions = 0
-    current = g
-    while len(current) > 0:
-        iso = _find_isolated(current)
+    contractible = False
+    while alive:
+        nbrs = {v: masks[v] & alive for v in set_bits(alive)}
+        iso = next((v for v, mask in nbrs.items() if not mask), None)
         if iso is not None:
-            moves.append(Cone(current.vertices[iso]))
-            return ReductionTrace(tuple(moves), suspensions, True, current)
-        k2 = _find_k2_component(current)
+            moves.append(Cone(g.vertices[iso]))
+            contractible = True
+            break
+        lone = {a: mask.bit_length() - 1 for a, mask in nbrs.items() if mask.bit_count() == 1}
+        k2 = next(((a, b) for a, b in lone.items() if lone.get(b) == a), None)
         if k2 is not None:
             a, b = k2
-            moves.append(StripK2(current.vertices[a], current.vertices[b]))
+            moves.append(StripK2(g.vertices[a], g.vertices[b]))
             suspensions += 1
-            current = delete_vertices(current, [a, b])
+            alive &= ~(1 << a | 1 << b)
             continue
-        fold = find_fold(current)
+        fold = find_fold(g, alive)
         if fold is None:
             break
         v, w = fold
-        moves.append(Fold(current.vertices[v], current.vertices[w]))
-        current = delete_vertices(current, [w])
-    return ReductionTrace(tuple(moves), suspensions, False, current)
+        moves.append(Fold(g.vertices[v], g.vertices[w]))
+        alive &= ~(1 << w)
+    residual = g if alive == everything else delete_vertices(g, set_bits(everything ^ alive))
+    return ReductionTrace(tuple(moves), suspensions, contractible, residual)
 
 
 def homotopy_type_if_closed(trace: ReductionTrace) -> WedgeOfSpheres | None:

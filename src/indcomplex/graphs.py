@@ -4,14 +4,15 @@ The central objects are the n-by-k square grid graph (vertices at integer
 coordinates, edges between L1-distance-1 pairs) and four families of induced
 subgraphs of the n-by-6 grid obtained by removing vertices from the last
 column.  Vertices are kept in column-major lexicographic order so every
-downstream computation (fold scanning, boundary matrix layout) is
-deterministic.
+downstream computation (fold scanning, face enumeration) is deterministic.
+An induced subgraph can also be named by a vertex bitmask over a host graph's
+neighbor masks; `set_bits` walks such a mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Vertex = tuple[int, int]
 
@@ -23,6 +24,14 @@ _FAMILY_REMOVED_ROWS = {"x": (1, 3, 5), "y": (3, 4), "a": (1, 5), "b": (4,)}
 
 class GraphError(ValueError):
     """Invalid graph construction or vertex index."""
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -123,10 +132,9 @@ class Graph:
         """N(v) as a set of vertex indices; N[v] = N(v) | {v} if closed."""
         self._check_index(v)
         mask = self.neighbor_masks[v]
-        out = {i for i in range(len(self.vertices)) if mask >> i & 1}
         if closed:
-            out.add(v)
-        return frozenset(out)
+            mask |= 1 << v
+        return frozenset(set_bits(mask))
 
     def degree(self, v: int) -> int:
         self._check_index(v)
@@ -190,16 +198,30 @@ def graph_to_json_dict(g: Graph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> Graph:
-    """Deserialize the wire schema; vertex order is re-canonicalized."""
+    """Deserialize the wire schema; vertex order is re-canonicalized.
+
+    Every vertex must be a pair of ints and every edge a pair of int indices.
+    A family tag that does not name a valid Family is dropped.
+    """
     try:
-        vertices = [tuple(v) for v in data["vertices"]]
-        edges = [tuple(e) for e in data["edges"]]
+        vertices = _int_pairs(data["vertices"], "vertex")
+        edges = _int_pairs(data["edges"], "edge")
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
     family = None
     if data.get("family"):
         try:
             family = Family(data["family"], int(data.get("n", 1)), int(data.get("k", 6)))
-        except GraphError:
+        except (TypeError, ValueError):  # GraphError is a ValueError
             family = None
     return Graph(vertices, edges, family=family)
+
+
+def _int_pairs(items: Iterable, what: str) -> list[tuple[int, int]]:
+    pairs = []
+    for item in items:
+        pair = isinstance(item, (list, tuple)) and len(item) == 2
+        if not (pair and all(type(c) is int for c in item)):
+            raise GraphError(f"malformed graph JSON: {what} {item!r} is not a pair of ints")
+        pairs.append(tuple(item))
+    return pairs

@@ -182,6 +182,21 @@ class TestEuler:
         assert code == EXIT_OK
         assert json.loads(proc.stdout)["chi"] == json.loads(out)["chi"]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--n", "3"),
+            ("--method", "enumerate", "--n", "2"),
+            ("--sweep", "1..3"),
+            ("--method", "predict"),
+        ],
+    )
+    def test_input_only_for_enumerate(self, capsys, extra):
+        code, out, err = run(capsys, "euler", "--input", "/nonexistent.json", *extra)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--input" in err and len(err.strip().splitlines()) == 1
+
     def test_sweep_bad_range(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["euler", "--sweep", "5..2"])
@@ -201,6 +216,25 @@ class TestReduce:
         assert payload["suspensions"] == 2
         assert payload["residual"]["vertices"] == []
         assert all(m["kind"] in ("fold", "cone", "strip_k2") for m in payload["moves"])
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"vertices": [[1, 1], [[1], 2]], "edges": []},
+            {"vertices": [[1, 1], [2, "a"]], "edges": []},
+            {"vertices": [[1, 1], [2, 1]], "edges": [[0, 1.5]]},
+            None,
+        ],
+        ids=["unhashable_vertex", "string_coordinate", "float_index", "missing_file"],
+    )
+    def test_bad_input_is_usage_error(self, capsys, tmp_path, data):
+        path = tmp_path / "g.json"
+        if data is not None:
+            path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "reduce", "--input", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 class TestVerify:

@@ -9,7 +9,6 @@ from indcomplex import (
     build_gamma,
     count_faces,
     delete_vertices,
-    deletion_graph,
     enumerate_faces,
     euler_from_fvector,
     f_vector,
@@ -156,12 +155,12 @@ class TestLinkDeletion:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_b_minus_v_is_y(self, n):
         g = build_family(Family("b", n))
-        assert deletion_graph(g, g.index((n, 3))) == build_family(Family("y", n))
+        assert delete_vertices(g, [g.index((n, 3))]) == build_family(Family("y", n))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_a_minus_v_is_x(self, n):
         g = build_family(Family("a", n))
-        assert deletion_graph(g, g.index((n, 3))) == build_family(Family("x", n))
+        assert delete_vertices(g, [g.index((n, 3))]) == build_family(Family("x", n))
 
     def test_link_of_isolated_vertex(self):
         g = build_family(Family("x", 1))

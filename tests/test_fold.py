@@ -8,6 +8,7 @@ from indcomplex import (
     Cone,
     Family,
     Fold,
+    ReductionTrace,
     StripK2,
     WedgeOfSpheres,
     betti_of_graph,
@@ -17,42 +18,98 @@ from indcomplex import (
     delete_vertices,
     find_fold,
     homotopy_type_if_closed,
+    predict_family,
     reduce_graph,
 )
+from indcomplex.graphs import FAMILY_KINDS
 
 from conftest import random_grid_subgraph
+
+
+def full(g):
+    """The vertex mask of the whole of g."""
+    return (1 << len(g)) - 1
+
+
+def pair_scan_fold(g, alive):
+    """Oracle for find_fold: every pair (v, w) of alive vertices with
+    N(v) contained in N(w) in the induced subgraph, least by (w, v)."""
+    nbrs = {v: g.neighbor_masks[v] & alive for v in range(len(g)) if alive >> v & 1}
+    candidates = [
+        (v, w)
+        for w in nbrs
+        for v in nbrs
+        if v != w and not nbrs[v] & ~nbrs[w] and not (nbrs[v] == nbrs[w] and w < v)
+    ]
+    return min(candidates, key=lambda vw: (vw[1], vw[0]), default=None)
+
+
+def reference_reduce(g):
+    """Oracle for reduce_graph: the same moves in the same priority, with the
+    graph rebuilt by delete_vertices after every move and every pair of
+    vertices scanned for a fold."""
+    moves = []
+    suspensions = 0
+    current = g
+    while len(current) > 0:
+        masks = current.neighbor_masks
+        iso = next((i for i, mask in enumerate(masks) if mask == 0), None)
+        if iso is not None:
+            moves.append(Cone(current.vertices[iso]))
+            return ReductionTrace(tuple(moves), suspensions, True, current)
+        k2 = next(
+            (
+                (a, mask.bit_length() - 1)
+                for a, mask in enumerate(masks)
+                if mask.bit_count() == 1 and masks[mask.bit_length() - 1] == 1 << a
+            ),
+            None,
+        )
+        if k2 is not None:
+            a, b = k2
+            moves.append(StripK2(current.vertices[a], current.vertices[b]))
+            suspensions += 1
+            current = delete_vertices(current, [a, b])
+            continue
+        fold = pair_scan_fold(current, full(current))
+        if fold is None:
+            break
+        v, w = fold
+        moves.append(Fold(current.vertices[v], current.vertices[w]))
+        current = delete_vertices(current, [w])
+    return ReductionTrace(tuple(moves), suspensions, False, current)
 
 
 class TestFindFold:
     def test_p3_folds_endpoints(self):
         p3 = build_gamma(3, 1)
         # Endpoints are twins through the middle vertex; the larger index goes.
-        assert find_fold(p3) == (0, 2)
+        assert find_fold(p3, full(p3)) == (0, 2)
 
     def test_k2_has_no_fold(self):
-        assert find_fold(build_gamma(2, 1)) is None
+        k2 = build_gamma(2, 1)
+        assert find_fold(k2, full(k2)) is None
 
     def test_edgeless_pair_folds_by_empty_inclusion(self):
         g = delete_vertices(build_gamma(3, 1), [1])
-        assert find_fold(g) == (0, 1)
+        assert find_fold(g, full(g)) == (0, 1)
+
+    def test_mask_selects_the_induced_subgraph(self):
+        p3 = build_gamma(3, 1)
+        # Without the middle vertex the endpoints are isolated: an empty
+        # inclusion, reported in the indices of the host graph.
+        assert find_fold(p3, 0b101) == (0, 2)
+        assert find_fold(p3, 0b011) is None
+        assert find_fold(p3, 0) is None
 
     def test_exhaustive_against_pair_scan(self):
         rng = random.Random(5)
         for _ in range(50):
             g = random_grid_subgraph(rng, max_n=3, max_vertices=10)
-            expected = None
-            masks = g.neighbor_masks
-            candidates = [
-                (v, w)
-                for w in range(len(g.vertices))
-                for v in range(len(g.vertices))
-                if v != w
-                and not masks[v] & ~masks[w]
-                and not (masks[v] == masks[w] and w < v)
-            ]
-            if candidates:
-                expected = min(candidates, key=lambda vw: (vw[1], vw[0]))
-            assert find_fold(g) == expected
+            assert find_fold(g, full(g)) == pair_scan_fold(g, full(g))
+            for _ in range(4):
+                alive = rng.getrandbits(len(g))
+                assert find_fold(g, alive) == pair_scan_fold(g, alive)
 
 
 class TestReduce:
@@ -87,7 +144,7 @@ class TestReduce:
         assert trace.suspensions == sum(isinstance(m, StripK2) for m in trace.moves)
         assert len(trace.moves) <= len(g.vertices)
         if not trace.contractible:
-            assert find_fold(trace.residual) is None
+            assert find_fold(trace.residual, full(trace.residual)) is None
             assert all(trace.residual.degree(i) > 0 for i in range(len(trace.residual)))
 
     def test_deterministic(self):
@@ -108,6 +165,40 @@ class TestReduce:
         assert not trace.contractible
         assert trace.suspensions == 0
         assert homotopy_type_if_closed(trace) == WedgeOfSpheres.sphere(-1)
+
+
+class TestAgainstReference:
+    """reduce_graph gives exactly the trace of the rebuild-per-move reduction."""
+
+    @staticmethod
+    def check(g):
+        trace = reduce_graph(g)
+        expected = reference_reduce(g)
+        assert trace == expected
+        assert trace.to_json_dict() == expected.to_json_dict()
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_families(self, kind):
+        for n in range(1, 13):
+            self.check(build_family(Family(kind, n)))
+
+    def test_gamma_n_by_k(self):
+        for n in range(1, 6):
+            for k in range(1, 6):
+                self.check(build_gamma(n, k))
+
+    def test_random_grid_subgraphs(self):
+        rng = random.Random(2207)
+        for _ in range(240):
+            self.check(random_grid_subgraph(rng, max_n=8, max_vertices=40))
+
+    @pytest.mark.parametrize("kind, moves", [("x", 267), ("y", 268)])
+    def test_closed_at_60(self, kind, moves):
+        f = Family(kind, 60)
+        trace = reduce_graph(build_family(f))
+        assert len(trace.moves) == moves
+        assert len(trace.residual) == 0
+        assert homotopy_type_if_closed(trace) == predict_family(f)
 
 
 class TestHomotopyTypeIfClosed:

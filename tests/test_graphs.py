@@ -12,6 +12,7 @@ from indcomplex import (
     graph_from_json_dict,
     graph_to_json_dict,
 )
+from indcomplex.graphs import set_bits
 
 
 class TestBuildGamma:
@@ -143,6 +144,11 @@ class TestNeighborhood:
             build_gamma(2, 2).neighborhood(9)
 
 
+@given(st.sets(st.integers(0, 300)))
+def test_set_bits_ascending(indices):
+    assert list(set_bits(sum(1 << i for i in indices))) == sorted(indices)
+
+
 def test_row_flip_is_isomorphism():
     n = 4
     g = build_gamma(n, 6)
@@ -173,6 +179,35 @@ def test_json_reorders_vertices():
     g = graph_from_json_dict(data)
     assert g.vertices == ((1, 1), (2, 1))
     assert g.edges == frozenset({(0, 1)})
+
+
+@pytest.mark.parametrize(
+    "tag",
+    [{"family": "x", "n": [1]}, {"family": "x", "n": "abc"}, {"family": "x", "k": 4}],
+)
+def test_json_drops_malformed_family_tag(tag):
+    g = graph_from_json_dict({"vertices": [[1, 1]], "edges": [], **tag})
+    assert g.vertices == ((1, 1),)
+    assert g.family is None
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": [[1, 1], [[1], 2]], "edges": []},
+        {"vertices": [[1, 1], [2, "a"]], "edges": []},
+        {"vertices": [[1, 1], [2, True]], "edges": []},
+        {"vertices": [[1, 1, 1]], "edges": []},
+        {"vertices": [[1, 1], [2, 1]], "edges": [[0, 1.5]]},
+        {"vertices": [[1, 1], [2, 1]], "edges": [[0]]},
+        {"vertices": 5, "edges": []},
+        {"edges": []},
+        [],
+    ],
+)
+def test_json_rejects_malformed_graph(data):
+    with pytest.raises(GraphError):
+        graph_from_json_dict(data)
 
 
 def test_graph_rejects_loops_and_bad_indices():
