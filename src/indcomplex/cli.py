@@ -10,6 +10,7 @@ failure, 2 usage error, 3 face-budget abort or out of memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -142,16 +143,30 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite:
-        if args.suite not in SUITES:
-            print(
-                f"verify: unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        reports = [SUITES[args.suite](args.seed)]
-    else:
-        reports = run_all(deep=args.deep, seed=args.seed)
+    if args.suite and args.suite not in SUITES:
+        print(
+            f"verify: unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    if args.suite and args.deep:
+        print("verify: --deep adds deep_homology to the full run; "
+              "it takes no --suite", file=sys.stderr)
+        return EXIT_USAGE
+    # Open the report file first, so a bad path fails before any suite runs.
+    try:
+        out = open(args.json_path, "w", encoding="utf-8") if args.json_path else None
+    except OSError as exc:
+        print(f"error: cannot write {args.json_path}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    with out or contextlib.nullcontext():
+        if args.suite:
+            reports = [SUITES[args.suite](args.seed)]
+        else:
+            reports = run_all(deep=args.deep, seed=args.seed)
+        if out:
+            json.dump([r.to_json_dict() for r in reports], out, indent=2, sort_keys=True)
+            out.write("\n")
 
     all_passed = True
     for report in reports:
@@ -166,10 +181,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for case in report.cases:
                 if not case.passed and not case.skipped:
                     print(f"  FAIL {case.key}: expected={case.expected} actual={case.actual}")
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump([r.to_json_dict() for r in reports], fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return EXIT_OK if all_passed else EXIT_FAIL
 
 
@@ -211,9 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.set_defaults(func=_cmd_reduce)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("--all", action="store_true", help="run every suite (default)")
-    p_verify.add_argument("--suite", help="run a single suite by name")
-    p_verify.add_argument("--deep", action="store_true", help="include the n = 5, 6 stretch checks")
+    p_verify.add_argument("--suite", help="run a single suite by name (default: every suite)")
+    p_verify.add_argument(
+        "--deep", action="store_true", help="add the n <= 6 stretch suite to the full run"
+    )
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--json", dest="json_path", help="write the report to a JSON file")
     p_verify.set_defaults(func=_cmd_verify)

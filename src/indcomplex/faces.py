@@ -108,11 +108,6 @@ class FVector:
         if any(c < 0 for c in self.counts):
             raise ValueError("face counts must be nonnegative")
 
-    @property
-    def total_faces(self) -> int:
-        """All faces including the empty one."""
-        return 1 + sum(self.counts)
-
 
 def f_vector(g: Graph) -> FVector:
     counts: list[int] = []

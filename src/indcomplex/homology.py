@@ -40,9 +40,6 @@ class BettiProfile:
     coefficient: str = "gf2"
     suspensions_applied: int = 0
 
-    def betti(self, dim: int) -> int:
-        return self.reduced_betti.get(dim, 0)
-
     @property
     def reduced_euler(self) -> int:
         return sum((-1) ** d * b for d, b in self.reduced_betti.items())

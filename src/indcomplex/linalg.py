@@ -1,40 +1,74 @@
 """Exact sparse linear algebra for boundary matrices.
 
-Ranks are computed by a left-to-right column reduction: each column is
-reduced against the pivot columns found so far, keyed by their highest
-nonzero row.  Over GF(2) a column is the set of its nonzero rows and adding
-a pivot column is a symmetric difference; over GF(p) and the integers
-columns are dicts mapping row index to coefficient.  The field reductions
-return their pivot rows, which a caller can use to clear (skip) columns of
-the next boundary down that are known to reduce to zero.  Integer
-elimination uses extended-gcd column combinations (unimodular, so the
-column space is preserved), which also certifies a torsion-free cokernel
-whenever every pivot ends up at +-1.
+Every ring shares one elimination, `_eliminate`: a left-to-right column
+reduction that keeps a map from pivot row (a column's highest nonzero row)
+to the reduced column that owns it.  While a column's pivot row is taken,
+one ring-specific step lowers it against the owner:
+
+* GF(2): a column is the set of its nonzero rows; the step is `col ^= piv`.
+* GF(p): a column is a dict {row: value mod p}; the step subtracts
+  col[r] * piv[r]^-1 * piv, so pivot columns are never normalized.
+* Z: a column is a dict {row: int}; the step subtracts a multiple of the
+  pivot when its entry divides the column's, and otherwise replaces both by
+  extended-gcd combinations (unimodular, so the column lattice is kept).
+
+The field reductions return their pivot rows, which a caller can use to
+clear (skip) columns of the next boundary down that are known to reduce to
+zero.  The integer echelon also certifies a torsion-free cokernel whenever
+every pivot ends up at +-1.
 """
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 
-def gf2_rank(columns: Iterable[Iterable[int]]) -> set[int]:
-    """Pivot rows of a GF(2) matrix given as columns of nonzero row indices.
+def _eliminate(columns: Iterable, reduce: Callable) -> dict:
+    """Reduce each column while its highest row r is some pivot's row.
 
-    The rank is the number of pivot rows.  A column's pivot is its highest
-    row; each working column is a set, so adding a pivot column is `^=`.
+    `reduce(col, piv, r, pivots)` returns col lowered against piv = pivots[r]
+    (it may also replace pivots[r]); a column left nonzero at a free row
+    becomes that row's pivot.  Returns the pivot map, keyed by row.
     """
-    pivots: dict[int, set[int]] = {}
-    for rows in columns:
-        col = set(rows)
+    pivots: dict = {}
+    for col in columns:
         while col:
             r = max(col)
             piv = pivots.get(r)
             if piv is None:
                 pivots[r] = col
                 break
-            col ^= piv
-    return set(pivots)
+            col = reduce(col, piv, r, pivots)
+    return pivots
+
+
+def _combine(
+    ca: int, a: Mapping[int, int], cb: int, b: Mapping[int, int], p: int = 0
+) -> dict[int, int]:
+    """ca * a + cb * b, reduced mod p when p is nonzero, dropping zeros."""
+    out = dict(a) if ca == 1 else {k: ca * v for k, v in a.items() if ca * v}
+    for k, v in b.items():
+        val = out.get(k, 0) + cb * v
+        if p:
+            val %= p
+        if val:
+            out[k] = val
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _gf2_step(col: set[int], piv: set[int], r: int, pivots: dict) -> set[int]:
+    col ^= piv
+    return col
+
+
+def gf2_rank(columns: Iterable[Iterable[int]]) -> set[int]:
+    """Pivot rows of a GF(2) matrix given as columns of nonzero row indices.
+
+    The rank is the number of pivot rows.
+    """
+    return set(_eliminate((set(rows) for rows in columns), _gf2_step))
 
 
 def modp_rank(columns: Iterable[Mapping[int, int]], p: int) -> set[int]:
@@ -44,26 +78,12 @@ def modp_rank(columns: Iterable[Mapping[int, int]], p: int) -> set[int]:
     """
     if p < 2:
         raise ValueError(f"modulus must be a prime >= 2, got {p}")
-    pivots: dict[int, dict[int, int]] = {}
-    for raw in columns:
-        col = {r: v % p for r, v in raw.items() if v % p}
-        while col:
-            r = max(col)
-            piv = pivots.get(r)
-            if piv is None:
-                inv = pow(col[r], -1, p)
-                pivots[r] = {k: (v * inv) % p for k, v in col.items()}
-                break
-            c = col[r]
-            nxt = dict(col)
-            for k, v in piv.items():
-                val = (nxt.get(k, 0) - c * v) % p
-                if val:
-                    nxt[k] = val
-                else:
-                    nxt.pop(k, None)
-            col = nxt
-    return set(pivots)
+
+    def step(col, piv, r, pivots):
+        return _combine(1, col, -col[r] * pow(piv[r], -1, p), piv, p)
+
+    cols = ({r: v % p for r, v in raw.items() if v % p} for raw in columns)
+    return set(_eliminate(cols, step))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -81,24 +101,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_w
 
 
-def _combine(col: dict[int, int], other: dict[int, int], factor: int) -> dict[int, int]:
-    """col + factor * other, dropping zeros."""
-    out = dict(col)
-    for k, v in other.items():
-        val = out.get(k, 0) + factor * v
-        if val:
-            out[k] = val
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _scaled_combine(
-    ca: int, a: dict[int, int], cb: int, b: dict[int, int]
-) -> dict[int, int]:
-    """ca * a + cb * b, dropping zeros."""
-    out = {k: ca * v for k, v in a.items() if ca * v}
-    return _combine(out, b, cb) if cb else out
+def _z_step(col: dict[int, int], piv: dict[int, int], r: int, pivots: dict) -> dict[int, int]:
+    a, b = piv[r], col[r]
+    if b % a == 0:
+        return _combine(1, col, -(b // a), piv)
+    g, u, w = _xgcd(a, b)
+    pivots[r] = _combine(u, piv, w, col)
+    return _combine(a // g, col, -(b // g), piv)
 
 
 def integer_column_echelon(
@@ -110,23 +119,7 @@ def integer_column_echelon(
     number of pivots is the rank over Q (and over Z), and the pivot columns
     span the same lattice as the input columns.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for raw in columns:
-        col = {r: v for r, v in raw.items() if v}
-        while col:
-            r = max(col)
-            piv = pivots.get(r)
-            if piv is None:
-                pivots[r] = col
-                break
-            a, b = piv[r], col[r]
-            if b % a == 0:
-                col = _combine(col, piv, -(b // a))
-            else:
-                g, u, w = _xgcd(a, b)
-                pivots[r] = _scaled_combine(u, piv, w, col)
-                col = _scaled_combine(a // g, col, -(b // g), piv)
-    return pivots
+    return _eliminate(({r: v for r, v in raw.items() if v} for raw in columns), _z_step)
 
 
 def smith_invariant_factors(columns: Iterable[Mapping[int, int]]) -> list[int]:

@@ -18,6 +18,7 @@ from .graphs import Family, build_family, build_gamma, delete_vertices
 from .homology import betti_of_family, betti_of_graph, betti_over_field
 from .predictor import expected_f6, predict_family, predict_gamma
 from .transfer import euler_sweep
+from .wedge import WedgeOfSpheres
 
 DEFAULT_SEED = 1729
 
@@ -74,21 +75,8 @@ def _finish(report: VerificationReport, started: float) -> VerificationReport:
     return report
 
 
-def _betti_dict(profile) -> dict[str, int]:
-    return {str(d): b for d, b in sorted(profile.reduced_betti.items())}
-
-
-def _wedge_dict(wedge) -> dict[str, int]:
+def _wedge_dict(wedge: WedgeOfSpheres) -> dict[str, int]:
     return {str(d): m for d, m in sorted(wedge.betti_numbers().items())}
-
-
-def _add_shifted(*terms: tuple[dict[int, int], int, int]) -> dict[str, int]:
-    """Sum of Betti maps, each shifted up and scaled: (betti, shift, scale)."""
-    acc: dict[int, int] = {}
-    for betti, shift, scale in terms:
-        for d, b in betti.items():
-            acc[d + shift] = acc.get(d + shift, 0) + scale * b
-    return {str(d): b for d, b in sorted(acc.items()) if b}
 
 
 def verify_euler_table(max_n: int = 56) -> VerificationReport:
@@ -123,7 +111,7 @@ def verify_small_homology(
             except FaceBudgetExceeded as exc:
                 report.cases.append(Case(key, expected, None, True, skipped=str(exc)))
                 continue
-            actual = _betti_dict(profile)
+            actual = _wedge_dict(WedgeOfSpheres(profile.reduced_betti))
             passed = actual == expected
             if coeff == "int":
                 actual = {"betti": actual, "torsion": list(profile.torsion)}
@@ -139,48 +127,32 @@ def verify_splittings(max_n: int = 5) -> VerificationReport:
     started = time.perf_counter()
     report = VerificationReport("splittings")
 
-    def betti_fam(kind: str, n: int) -> dict[int, int]:
-        return betti_of_family(Family(kind, n), coeff="gf2").reduced_betti
+    def fam(kind: str, n: int) -> WedgeOfSpheres:
+        return WedgeOfSpheres(betti_of_family(Family(kind, n), coeff="gf2").reduced_betti)
 
-    def add_case(key: str, expected, actual) -> None:
-        report.cases.append(Case(key, expected, actual, expected == actual))
+    def deleted_nbhd(kind: str, n: int) -> WedgeOfSpheres:
+        """Betti numbers of I(G - N[v]) for v = (n, 3) of the family graph G."""
+        g = build_family(Family(kind, n))
+        link = link_graph(g, g.index((n, 3)))
+        return WedgeOfSpheres(betti_of_graph(link, coeff="gf2").reduced_betti)
+
+    def add_case(key: str, expected: WedgeOfSpheres, actual: WedgeOfSpheres) -> None:
+        report.cases.append(
+            Case(key, _wedge_dict(expected), _wedge_dict(actual), expected == actual)
+        )
 
     for n in range(4, max_n + 1):
-        # a(n) = x(n) + S^4 b(n-3)
-        add_case(
-            f"a_split:n={n}",
-            _add_shifted((betti_fam("x", n), 0, 1), (betti_fam("b", n - 3), 4, 1)),
-            _add_shifted((betti_fam("a", n), 0, 1)),
-        )
-        # a(n) - N[v_n] vs S^3 b(n-3)
-        g = build_family(Family("a", n))
-        link = link_graph(g, g.index((n, 3)))
-        add_case(
-            f"a_deleted_nbhd:n={n}",
-            _add_shifted((betti_fam("b", n - 3), 3, 1)),
-            _add_shifted((betti_of_graph(link, coeff="gf2").reduced_betti, 0, 1)),
-        )
+        # a(n) = x(n) v S^4 b(n-3), and a(n) - N[v_n] against S^3 b(n-3)
+        b = fam("b", n - 3)
+        add_case(f"a_split:n={n}", fam("x", n).wedge(b.suspend(4)), fam("a", n))
+        add_case(f"a_deleted_nbhd:n={n}", b.suspend(3), deleted_nbhd("a", n))
     for n in range(5, max_n + 1):
-        # b(n) = y(n) + S^6 a(n-4)
-        add_case(
-            f"b_split:n={n}",
-            _add_shifted((betti_fam("y", n), 0, 1), (betti_fam("a", n - 4), 6, 1)),
-            _add_shifted((betti_fam("b", n), 0, 1)),
-        )
-        # gamma(n) = y(n) + 2 * S^6 a(n-4)
-        add_case(
-            f"gamma_split:n={n}",
-            _add_shifted((betti_fam("y", n), 0, 1), (betti_fam("a", n - 4), 6, 2)),
-            _add_shifted((betti_fam("gamma", n), 0, 1)),
-        )
-        # b(n) - N[v_n] vs S^5 a(n-4)
-        g = build_family(Family("b", n))
-        link = link_graph(g, g.index((n, 3)))
-        add_case(
-            f"b_deleted_nbhd:n={n}",
-            _add_shifted((betti_fam("a", n - 4), 5, 1)),
-            _add_shifted((betti_of_graph(link, coeff="gf2").reduced_betti, 0, 1)),
-        )
+        # b(n) = y(n) v S^6 a(n-4), gamma(n) = y(n) v 2 S^6 a(n-4),
+        # and b(n) - N[v_n] against S^5 a(n-4)
+        a, y = fam("a", n - 4), fam("y", n)
+        add_case(f"b_split:n={n}", y.wedge(a.suspend(6)), fam("b", n))
+        add_case(f"gamma_split:n={n}", y.wedge(a.suspend(6).times(2)), fam("gamma", n))
+        add_case(f"b_deleted_nbhd:n={n}", a.suspend(5), deleted_nbhd("b", n))
     return _finish(report, started)
 
 
@@ -198,16 +170,11 @@ def verify_fold_soundness(
         size = rng.randint(0, min(max_vertices, len(g)))
         keep = sorted(rng.sample(range(len(g)), size))
         sub = delete_vertices(g, set(range(len(g))) - set(keep))
-        direct = betti_over_field(sub, 2)
-        reduced = betti_of_graph(sub, coeff="gf2")
+        direct = WedgeOfSpheres(betti_over_field(sub, 2).reduced_betti)
+        reduced = WedgeOfSpheres(betti_of_graph(sub, coeff="gf2").reduced_betti)
         key = f"sample={i:03d}:n={n}:size={size}"
         report.cases.append(
-            Case(
-                key,
-                _betti_dict(direct),
-                _betti_dict(reduced),
-                direct.reduced_betti == reduced.reduced_betti,
-            )
+            Case(key, _wedge_dict(direct), _wedge_dict(reduced), direct == reduced)
         )
     return _finish(report, started)
 

@@ -38,10 +38,6 @@ class WedgeOfSpheres:
         return cls({dim: mult})
 
     @property
-    def multiplicity(self) -> dict[int, int]:
-        return dict(self._items)
-
-    @property
     def is_point(self) -> bool:
         return not self._items
 

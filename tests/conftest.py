@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from indcomplex import Graph, build_gamma, delete_vertices
+from indcomplex.graphs import Graph, build_gamma, delete_vertices
 
 
 def brute_force_independent_sets(g: Graph) -> list[tuple[int, ...]]:

@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from indcomplex import Family, build_family, build_gamma, graph_to_json_dict
+from indcomplex import Family, build_family, build_gamma
 from indcomplex.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from indcomplex.graphs import graph_to_json_dict
 from indcomplex.verify import Case, VerificationReport
 
 from conftest import run_capped
@@ -258,6 +259,27 @@ class TestVerify:
         assert data[0]["suite"] == "euler_table"
         assert data[0]["passed"] is True
         assert len(data[0]["cases"]) == 56
+
+    def test_unwritable_json_fails_before_any_suite(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr("indcomplex.cli.run_all", lambda **kw: calls.append(kw) or [])
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, "verify", "--json", str(path))
+        assert code == EXIT_USAGE
+        assert calls == [] and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_all_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--all", "--suite", "euler_table"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--all" in capsys.readouterr().err
+
+    def test_suite_refuses_deep(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "euler_table", "--deep")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--deep" in err
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         bad = VerificationReport(

@@ -2,19 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indcomplex import (
-    FaceBudgetExceeded,
-    Family,
-    build_family,
-    build_gamma,
+from indcomplex import FaceBudgetExceeded, Family, build_family, build_gamma
+from indcomplex.faces import (
+    BYTES_PER_FACE,
+    FVector,
     count_faces,
-    delete_vertices,
     enumerate_faces,
     euler_from_fvector,
     f_vector,
     link_graph,
 )
-from indcomplex.faces import BYTES_PER_FACE, FVector
+from indcomplex.graphs import delete_vertices
 
 from conftest import (
     brute_force_independent_sets,

@@ -5,23 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indcomplex import (
-    Cone,
     Family,
-    Fold,
-    ReductionTrace,
-    StripK2,
     WedgeOfSpheres,
-    betti_of_graph,
-    betti_over_field,
     build_family,
     build_gamma,
-    delete_vertices,
-    find_fold,
     homotopy_type_if_closed,
     predict_family,
     reduce_graph,
 )
-from indcomplex.graphs import FAMILY_KINDS
+from indcomplex.fold import Cone, Fold, ReductionTrace, StripK2, find_fold
+from indcomplex.graphs import FAMILY_KINDS, delete_vertices
+from indcomplex.homology import betti_of_graph, betti_over_field
 
 from conftest import random_grid_subgraph
 

@@ -2,17 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indcomplex import (
-    Family,
+from indcomplex import Family, GraphError, build_family, build_gamma
+from indcomplex.graphs import (
     Graph,
-    GraphError,
-    build_family,
-    build_gamma,
     delete_vertices,
     graph_from_json_dict,
     graph_to_json_dict,
+    set_bits,
 )
-from indcomplex.graphs import set_bits
 
 
 class TestBuildGamma:

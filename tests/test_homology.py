@@ -5,21 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indcomplex import (
+    BettiProfile,
     Family,
     betti_of_family,
-    betti_of_graph,
-    betti_over_field,
     build_family,
     build_gamma,
-    delete_vertices,
-    euler_from_fvector,
-    f_vector,
-    faces_by_dimension,
     integral_homology,
     predict_family,
 )
 from indcomplex import linalg
-from indcomplex.homology import BettiProfile, _boundary_rows
+from indcomplex.faces import euler_from_fvector, f_vector, faces_by_dimension
+from indcomplex.graphs import delete_vertices
+from indcomplex.homology import _boundary_rows, betti_of_graph, betti_over_field
 
 from conftest import disjoint_union, random_grid_subgraph
 

@@ -107,6 +107,16 @@ small_matrix = st.integers(1, 4).flatmap(
     )
 )
 
+binary_matrix = st.integers(1, 8).flatmap(
+    lambda m: st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        )
+    )
+)
+
 
 class TestRanks:
     @given(small_matrix)
@@ -123,6 +133,13 @@ class TestRanks:
     @settings(max_examples=150, deadline=None)
     def test_integer_echelon_rank_matches_fraction_oracle(self, rows):
         assert len(integer_column_echelon(as_columns(rows))) == rational_rank(rows)
+
+    @given(binary_matrix)
+    @settings(max_examples=150, deadline=None)
+    def test_gf2_sets_and_dicts_give_the_same_pivot_rows(self, rows):
+        # Clearing skips the columns indexed by pivot rows, so both steps must
+        # agree on the rows themselves, not only on how many there are.
+        assert gf2_rank(as_row_sets(rows)) == modp_rank(as_columns(rows), 2)
 
     def test_empty_and_zero(self):
         assert gf2_rank([]) == set()

@@ -2,16 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indcomplex import (
-    build_gamma,
-    build_transfer_model,
-    column_states,
-    euler_chi,
-    euler_from_fvector,
-    euler_sweep,
-    f_vector,
-    period_detect,
-)
+from indcomplex import build_gamma, euler_chi, euler_sweep, period_detect
+from indcomplex.faces import euler_from_fvector, f_vector
+from indcomplex.transfer import build_transfer_model, column_states
 from indcomplex.predictor import F6_PERIOD, F6_PERIOD_LENGTH
 
 
