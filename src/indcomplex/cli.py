@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 
 from .faces import FaceBudgetExceeded, euler_from_fvector, f_vector
@@ -71,14 +72,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_homology(args: argparse.Namespace) -> int:
     # Family rejects any k but 6 outside gamma, so a given --k is never dropped.
     fam = Family(args.family, args.n, 6 if args.k is None else args.k)
-    profile = betti_of_family(fam, coeff=args.coeff)
-    _emit(
-        {
-            "reduced_betti": {str(d): b for d, b in sorted(profile.reduced_betti.items())},
-            "torsion": [[d, f] for d, f in profile.torsion],
-            "suspensions_applied": profile.suspensions_applied,
-        }
-    )
+    _emit(betti_of_family(fam, coeff=args.coeff).to_json_dict())
     return EXIT_OK
 
 
@@ -115,8 +109,8 @@ def _cmd_euler(args: argparse.Namespace) -> int:
             g = build_gamma(args.n, args.k)
         else:
             g = _load_graph(args.input)
-        fv = f_vector(g)
-        payload = {"chi": euler_from_fvector(fv), "f_vector": list(fv.counts)}
+        counts = f_vector(g)
+        payload = {"chi": euler_from_fvector(counts), "f_vector": list(counts)}
         if args.n is not None:
             payload.update({"n": args.n, "k": args.k, "method": "enumerate"})
         _emit(payload)
@@ -208,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_euler.add_argument("--n", type=int)
     p_euler.add_argument("--k", type=int, default=6)
     p_euler.add_argument(
-        "--method", choices=("transfer", "enumerate", "predict"), default="transfer"
+        "--method", choices=("transfer", "enumerate", "predict"), default="transfer",
+        help="enumerate counts the faces of the graph exactly, by size (its f-vector)",
     )
     p_euler.add_argument(
         "--sweep", type=_parse_sweep, metavar="A..B",
@@ -237,12 +232,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`| head`); keep the exit-time flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except FaceBudgetExceeded as exc:
         print(f"face budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except MemoryError:
-        print("out of memory: the input is too large for this machine", file=sys.stderr)
+    except MemoryError as exc:
+        detail = str(exc) or "the input is too large for this machine"
+        print(f"out of memory: {detail}", file=sys.stderr)
         return EXIT_BUDGET
     except (GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,16 @@
-"""Independence-complex face enumeration and f-vectors.
+"""Independence-complex faces: exact counts, f-vectors and enumeration.
 
 A graph is treated implicitly as its independence complex: faces are the
-independent vertex sets, including the empty face.  Enumeration is bounded
-by a face budget derived from the memory the process may use, and guarded by
-an exact pre-count, so oversized inputs are rejected deterministically before
-any memory is committed.
+independent vertex sets, including the empty face.  One vertex sweep of the
+independence polynomial counts the faces, by size if asked, without listing
+them.  Enumeration, which homology needs, is bounded by a face budget derived
+from the memory the process may use and guarded by that exact count.
 """
 
 from __future__ import annotations
 
 import os
 import resource
-from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import Graph, delete_vertices
@@ -27,24 +26,30 @@ class FaceBudgetExceeded(RuntimeError):
     """Enumeration would exceed the face budget."""
 
 
-def face_budget() -> int:
-    """Faces that fit in memory: the address-space limit (the RLIMIT_AS soft
-    limit, or physical RAM when there is none) over BYTES_PER_FACE."""
+def address_space() -> int:
+    """Bytes the process may use: the RLIMIT_AS soft limit, else physical RAM."""
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit == resource.RLIM_INFINITY:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    return limit // BYTES_PER_FACE
+    return limit
 
 
-def count_faces(g: Graph) -> int:
-    """Exact number of independent sets of g (empty set included).
+def face_budget() -> int:
+    """Faces that fit in memory: the address space over BYTES_PER_FACE."""
+    return address_space() // BYTES_PER_FACE
 
-    Sweeps the vertices in order, counting the partial faces on the vertices
+
+def _independence_polynomial(g: Graph, x: int) -> int:
+    """Sum over the independent sets of g (empty set included) of x^|set|.
+
+    Sweeps the vertices in order, summing the partial faces on the vertices
     seen so far by the set of later vertices they ban.  Distinct states have
     distinct partial faces, so once the states outnumber the face budget so
-    do the faces, and FaceBudgetExceeded is raised.
+    do the faces, and FaceBudgetExceeded is raised; for x > 1 a state's sum
+    holds a base-x digit per face size, and that memory counts too.
     """
     budget = face_budget()
+    weight = 1 + (len(g) + 1) * (x.bit_length() - 1) // (8 * BYTES_PER_FACE)
     states = {0: 1}
     for v, nbrs in enumerate(g.neighbor_masks):
         later = nbrs >> (v + 1)
@@ -54,14 +59,19 @@ def count_faces(g: Graph) -> int:
             step[rest] = step.get(rest, 0) + count
             if not banned & 1:
                 key = rest | later
-                step[key] = step.get(key, 0) + count
+                step[key] = step.get(key, 0) + count * x
         states = step
-        if len(states) > budget:
+        if len(states) * weight > budget:
             raise FaceBudgetExceeded(
-                f"the first {v + 1} of {len(g)} vertices already have more than "
-                f"{budget} faces, the budget"
+                f"the first {v + 1} of {len(g)} vertices already need the memory of "
+                f"more than {budget} faces, the budget"
             )
     return sum(states.values())
+
+
+def count_faces(g: Graph) -> int:
+    """Exact number of independent sets of g (empty set included)."""
+    return _independence_polynomial(g, 1)
 
 
 def enumerate_faces(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -95,35 +105,20 @@ def faces_by_dimension(g: Graph) -> dict[int, list[tuple[int, ...]]]:
     return out
 
 
-@dataclass(frozen=True)
-class FVector:
-    """Counts of nonempty faces by cardinality: counts[i] = #(i+1)-vertex faces.
+def f_vector(g: Graph) -> tuple[int, ...]:
+    """Counts of nonempty faces by size: entry i counts the (i+1)-vertex faces.
 
-    The single empty face is kept separate from the counts.
+    The independence polynomial at x = 2^b, b = |V| + 1, holds the counts as
+    base-x digits; each is below 2^|V|, so none carries into the next.
     """
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
-            raise ValueError("face counts must be nonnegative")
+    b = len(g) + 1
+    poly = _independence_polynomial(g, 1 << b)
+    return tuple(poly >> i & ((1 << b) - 1) for i in range(b, poly.bit_length(), b))
 
 
-def f_vector(g: Graph) -> FVector:
-    counts: list[int] = []
-    for face in enumerate_faces(g):
-        if not face:
-            continue
-        size = len(face)
-        while len(counts) < size:
-            counts.append(0)
-        counts[size - 1] += 1
-    return FVector(tuple(counts))
-
-
-def euler_from_fvector(fv: FVector) -> int:
+def euler_from_fvector(counts: tuple[int, ...]) -> int:
     """Unreduced Euler characteristic: alternating sum over nonempty faces."""
-    return sum((-1) ** i * c for i, c in enumerate(fv.counts))
+    return sum((-1) ** i * c for i, c in enumerate(counts))
 
 
 def link_graph(g: Graph, v: int) -> Graph:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Collection, Iterator
 
 from . import linalg
@@ -90,16 +89,12 @@ def _betti_from_ranks(
     return out
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
-
-
 def _field_prime(coeff: str) -> int | None:
     """The prime p of a "gf<p>" descriptor, or None for "int"."""
     if coeff == "int":
         return None
     match = re.fullmatch(r"gf([1-9][0-9]*)", coeff)
-    if match is None or not _is_prime(int(match[1])):
+    if match is None or not linalg.is_prime(int(match[1])):
         raise ValueError(
             f"unknown coefficient descriptor {coeff!r}: expected 'int' or 'gf<p>' with p prime"
         )
@@ -108,7 +103,7 @@ def _field_prime(coeff: str) -> int | None:
 
 def betti_over_field(g: Graph, p: int) -> BettiProfile:
     """Reduced Betti numbers of I(g) over GF(p), without fold reduction."""
-    if not _is_prime(p):
+    if not linalg.is_prime(p):
         raise ValueError(f"GF({p}) is not a field: {p} is not prime")
     faces = faces_by_dimension(g)
     ranks: dict[int, int] = {}

@@ -20,7 +20,12 @@ every pivot ends up at +-1.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Callable, Iterable, Mapping
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def _eliminate(columns: Iterable, reduce: Callable) -> dict:
@@ -76,8 +81,8 @@ def modp_rank(columns: Iterable[Mapping[int, int]], p: int) -> set[int]:
 
     The rank is the number of pivot rows.
     """
-    if p < 2:
-        raise ValueError(f"modulus must be a prime >= 2, got {p}")
+    if not is_prime(p):
+        raise ValueError(f"GF({p}) is not a field: {p} is not prime")
 
     def step(col, piv, r, pivots):
         return _combine(1, col, -col[r] * pow(piv[r], -1, p), piv, p)

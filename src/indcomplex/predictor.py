@@ -10,7 +10,7 @@ family is evaluated through its recursion b(n) = y(n) v S^6 a(n-4).
 from __future__ import annotations
 
 from .graphs import Family, GraphError
-from .wedge import WedgeOfSpheres, wedge_sum
+from .wedge import WedgeOfSpheres
 
 # Coefficient tables, indexed by the residue k of the decomposition.
 NU = {0: 0, 1: 0, 2: 0, 3: 2, 4: 2, 5: 4, 6: 4}
@@ -113,8 +113,7 @@ def predict_gamma(n: int) -> WedgeOfSpheres:
     if n % 2 == 1:
         m, k = decompose_odd(n)
         n_prime = 21 * m + 3 * k + 1
-        return wedge_sum(
-            WedgeOfSpheres.sphere(n_prime),
+        return WedgeOfSpheres.sphere(n_prime).wedge(
             _band(n_prime - m, n_prime - 1, 6),
             WedgeOfSpheres({n_prime - m - 1: NU[k]}),
         )
@@ -126,8 +125,7 @@ def predict_gamma(n: int) -> WedgeOfSpheres:
     if k <= 3:
         # The theorem's guard: this branch only arises with m >= 1.
         assert m >= 1
-        return wedge_sum(
-            head,
+        return head.wedge(
             _band(n_prime - m + 1, n_prime - 1, 6),
             WedgeOfSpheres({n_prime - m: MU[k]}),
         )

@@ -131,9 +131,9 @@ def verify_splittings(max_n: int = 5) -> VerificationReport:
         return WedgeOfSpheres(betti_of_family(Family(kind, n), coeff="gf2").reduced_betti)
 
     def deleted_nbhd(kind: str, n: int) -> WedgeOfSpheres:
-        """Betti numbers of I(G - N[v]) for v = (n, 3) of the family graph G."""
+        """Betti numbers of I(G - N[v]) for the distinguished vertex v of G."""
         g = build_family(Family(kind, n))
-        link = link_graph(g, g.index((n, 3)))
+        link = link_graph(g, g.index(g.family.distinguished_vertex))
         return WedgeOfSpheres(betti_of_graph(link, coeff="gf2").reduced_betti)
 
     def add_case(key: str, expected: WedgeOfSpheres, actual: WedgeOfSpheres) -> None:
@@ -179,11 +179,6 @@ def verify_fold_soundness(
     return _finish(report, started)
 
 
-def verify_deep_homology() -> VerificationReport:
-    """Stretch check: every family at n <= 6 over GF(2) against the closed forms."""
-    return verify_small_homology(max_n=6, coeff="gf2", suite_name="deep_homology")
-
-
 # Every suite takes the seed; only fold_soundness draws random inputs.
 SUITES: dict[str, Callable[[int], VerificationReport]] = {
     "euler_table": lambda seed: verify_euler_table(),
@@ -191,7 +186,7 @@ SUITES: dict[str, Callable[[int], VerificationReport]] = {
     "small_homology_int": lambda seed: verify_small_homology(coeff="int"),
     "splittings": lambda seed: verify_splittings(),
     "fold_soundness": lambda seed: verify_fold_soundness(seed=seed),
-    "deep_homology": lambda seed: verify_deep_homology(),
+    "deep_homology": lambda seed: verify_small_homology(max_n=6, suite_name="deep_homology"),
 }
 
 

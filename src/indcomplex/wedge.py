@@ -82,7 +82,3 @@ class WedgeOfSpheres:
             f"S^{d}" if m == 1 else f"{m}xS^{d}" for d, m in self._items
         )
         return f"WedgeOfSpheres({body})"
-
-
-def wedge_sum(*wedges: WedgeOfSpheres) -> WedgeOfSpheres:
-    return WedgeOfSpheres().wedge(*wedges)

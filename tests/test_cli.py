@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from indcomplex import Family, build_family, build_gamma
+from indcomplex import Family, betti_of_family, build_family, build_gamma
 from indcomplex.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from indcomplex.graphs import graph_to_json_dict
 from indcomplex.verify import Case, VerificationReport
@@ -42,6 +46,12 @@ class TestHomology:
         payload = json.loads(out)
         assert payload["reduced_betti"] == {"2": 1}
         assert payload["torsion"] == []
+
+    def test_emits_the_profile(self, capsys):
+        code, out, _ = run(capsys, "homology", "--family", "b", "--n", "4", "--coeff", "gf3")
+        assert code == EXIT_OK
+        assert json.loads(out) == betti_of_family(Family("b", 4), coeff="gf3").to_json_dict()
+        assert json.loads(out)["coefficient"] == "gf3"
 
     def test_integral_b4(self, capsys):
         code, out, _ = run(
@@ -155,6 +165,31 @@ class TestEuler:
         code, out, _ = run(capsys, "euler", "--method", "enumerate", "--n", "2", "--k", "6")
         assert code == EXIT_OK
         assert json.loads(out)["chi"] == 2
+
+    def test_enumerate_counts_gamma_7(self, capsys):
+        # 69,050,253 faces: far past the face budget of enumeration.
+        code, out, _ = run(capsys, "euler", "--method", "enumerate", "--n", "7")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["chi"] == 0
+        assert sum(payload["f_vector"]) == 69_050_252
+        assert payload["f_vector"][:2] == [42, 790]
+
+    def test_sweep_into_closed_pipe(self):
+        # A reader that stops early, like `| head -2`, is not a failure.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "indcomplex.cli", "euler", "--sweep", "1..20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline().strip() == b"n,chi"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_OK
+        assert err == b""
 
     def test_sweep_csv(self, capsys):
         code, out, _ = run(capsys, "euler", "--sweep", "1..6")

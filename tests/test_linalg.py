@@ -156,6 +156,12 @@ class TestRanks:
         with pytest.raises(ValueError):
             modp_rank([], 1)
 
+    @pytest.mark.parametrize("columns", [[{0: 3}, {0: 1}], [{0: 2}, {0: 2}], []])
+    def test_modp_rejects_composite_modulus(self, columns):
+        # Z/4 is not a field: neither an answer nor a bare pow() error.
+        with pytest.raises(ValueError, match="GF\\(4\\) is not a field"):
+            modp_rank(columns, 4)
+
 
 class TestSmith:
     @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,8 @@ from indcomplex import build_gamma, euler_chi, euler_sweep, period_detect
 from indcomplex.faces import euler_from_fvector, f_vector
 from indcomplex.transfer import build_transfer_model, column_states
 from indcomplex.predictor import F6_PERIOD, F6_PERIOD_LENGTH
+
+from conftest import run_capped
 
 
 def entry(model, s, t):
@@ -34,8 +38,13 @@ class TestColumnStates:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             column_states(0)
-        with pytest.raises(ValueError):
-            column_states(25)
+        # Width 26 needs about 1.06 GB of cell tables at BYTES_PER_ENTRY, so
+        # under 512 MiB it is refused before any table is built.
+        started = time.perf_counter()
+        proc = run_capped(["-m", "indcomplex.cli", "euler", "--k", "26", "--n", "3"], 512 << 20)
+        assert time.perf_counter() - started < 1.0
+        assert proc.returncode == 3, proc.stderr
+        assert "width-26 transfer tables" in proc.stderr
 
 
 class TestTransferModel:
@@ -97,6 +106,14 @@ class TestEulerChi:
                     continue
                 direct = euler_from_fvector(f_vector(build_gamma(n, k)))
                 assert euler_chi(n, k) == direct, (n, k)
+
+    def test_matches_face_counts_to_n_40(self):
+        # f_vector counts faces exactly by its own vertex sweep, well past
+        # the reach of enumeration.
+        for k in range(1, 9):
+            sweep = euler_sweep(k, 40)
+            for n in range(1, 41):
+                assert euler_from_fvector(f_vector(build_gamma(n, k))) == sweep[n - 1], (n, k)
 
     def test_sweep_consistent_with_point_queries(self):
         sweep = euler_sweep(6, 20)
