@@ -1,18 +1,21 @@
 """Reduced simplicial homology of independence complexes.
 
-Chain groups are indexed by the lex-ordered faces of each dimension, in the
-augmented convention: the empty face spans dimension -1, so contractible
-complexes have all reduced Betti numbers zero and the empty complex reports
-a single generator in dimension -1.
+Chain groups are indexed by the faces of each dimension, each face its vertex
+bitmask, in the augmented convention: the empty face spans dimension -1, so
+contractible complexes have all reduced Betti numbers zero and the empty
+complex reports a single generator in dimension -1.
 
 Each boundary map is streamed one column at a time, straight from the
 per-dimension face lists into the elimination of its ring (sparse
-{row: coefficient} columns, reduced as row sets over GF(2)); only ranks and
-torsion are kept, so no whole boundary matrix is ever held.  Over a field
-the boundaries are reduced from the top dimension down with clearing: a
-d-face that is a pivot row of the (d+1)-boundary has a d-boundary column
-that reduces to zero, so it is never assembled (Chen and Kerber, "Persistent
-homology computation with a twist", 2011).
+{row: coefficient} columns, a row being a facet's mask, reduced as row sets
+over GF(2)); only ranks and torsion are kept, so no whole boundary matrix is
+ever held.  Over a field the boundaries are reduced from the top dimension
+down with clearing: a d-face that is a pivot row of the (d+1)-boundary has a
+d-boundary column that reduces to zero, so it is never assembled (Chen and
+Kerber, "Persistent homology computation with a twist", 2011).  Columns run
+in descending mask order and pivots are lowest rows: any order gives the
+same ranks, but on the Γ(4,6) residual mixed directions take 6 to 7 times
+the integer steps.
 
 The family pipeline first fold-reduces the graph, computes homology on the
 residual, and shifts dimensions up by the number of recorded suspensions.
@@ -27,7 +30,7 @@ from typing import Collection, Iterator
 from . import linalg
 from .faces import faces_by_dimension
 from .fold import reduce_graph
-from .graphs import Family, Graph, build_family
+from .graphs import Family, Graph, build_family, set_bits
 
 
 @dataclass(frozen=True)
@@ -61,25 +64,19 @@ class BettiProfile:
 
 
 def _boundary_rows(
-    faces: dict[int, list[tuple[int, ...]]], d: int, cleared: Collection[int] = ()
+    faces: dict[int, list[int]], d: int, cleared: Collection[int] = ()
 ) -> Iterator[dict[int, int]]:
-    """Yield the boundary of each d-face, in lex order, as {row: sign}.
+    """Yield the boundary of each d-face not in `cleared`, as {row: sign}.
 
-    Rows index the lex-ordered (d-1)-faces.  Dropping a later vertex gives a
-    lex-smaller facet, so running j from d down to 0 yields ascending rows;
-    the facet omitting vertex j has sign (-1)^j.  For d = 0 the only facet
-    is the empty face, so the column is the augmentation row.  Faces whose
-    index is in `cleared` are skipped.
+    A row is the facet's own mask: dropping the j-th smallest vertex v gives
+    face ^ 1 << v, with sign (-1)^j; a vertex's one facet is the empty face 0.
     """
-    row_index = {f: i for i, f in enumerate(faces[d - 1])}
-    for i, face in enumerate(faces[d]):
-        if i not in cleared:
-            yield {row_index[face[:j] + face[j + 1 :]]: (-1) ** j for j in range(d, -1, -1)}
+    for face in faces[d]:
+        if face not in cleared:
+            yield {face ^ 1 << v: (-1) ** j for j, v in enumerate(set_bits(face))}
 
 
-def _betti_from_ranks(
-    faces: dict[int, list[tuple[int, ...]]], ranks: dict[int, int]
-) -> dict[int, int]:
+def _betti_from_ranks(faces: dict[int, list[int]], ranks: dict[int, int]) -> dict[int, int]:
     """b_d = f_d - r_d - r_{d+1} for every d >= -1 (r_d: rank of the d-boundary)."""
     out: dict[int, int] = {}
     for d, group in faces.items():

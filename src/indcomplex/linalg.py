@@ -1,9 +1,9 @@
 """Exact sparse linear algebra for boundary matrices.
 
 Every ring shares one elimination, `_eliminate`: a left-to-right column
-reduction that keeps a map from pivot row (a column's highest nonzero row)
+reduction that keeps a map from pivot row (a column's lowest nonzero row)
 to the reduced column that owns it.  While a column's pivot row is taken,
-one ring-specific step lowers it against the owner:
+one ring-specific step clears it against the owner:
 
 * GF(2): a column is the set of its nonzero rows; the step is `col ^= piv`.
 * GF(p): a column is a dict {row: value mod p}; the step subtracts
@@ -29,16 +29,16 @@ def is_prime(p: int) -> bool:
 
 
 def _eliminate(columns: Iterable, reduce: Callable) -> dict:
-    """Reduce each column while its highest row r is some pivot's row.
+    """Reduce each column while its lowest row r is some pivot's row.
 
-    `reduce(col, piv, r, pivots)` returns col lowered against piv = pivots[r]
-    (it may also replace pivots[r]); a column left nonzero at a free row
-    becomes that row's pivot.  Returns the pivot map, keyed by row.
+    `reduce(col, piv, r, pivots)` returns col cleared at row r by piv =
+    pivots[r] (it may also replace pivots[r]); a column left nonzero at a
+    free row becomes that row's pivot.  Returns the pivot map, keyed by row.
     """
     pivots: dict = {}
     for col in columns:
         while col:
-            r = max(col)
+            r = min(col)
             piv = pivots.get(r)
             if piv is None:
                 pivots[r] = col
@@ -120,7 +120,7 @@ def integer_column_echelon(
 ) -> dict[int, dict[int, int]]:
     """Column echelon form over Z via unimodular column operations.
 
-    Returns the pivot columns keyed by their highest nonzero row.  The
+    Returns the pivot columns keyed by their lowest nonzero row.  The
     number of pivots is the rank over Q (and over Z), and the pivot columns
     span the same lattice as the input columns.
     """
@@ -132,20 +132,28 @@ def smith_invariant_factors(columns: Iterable[Mapping[int, int]]) -> list[int]:
 
     Returns the invariant factors d_1 | d_2 | ... | d_r (r = rank, all
     positive).  The cokernel of the matrix is torsion-free iff all factors
-    are 1.  Columns that already reduce with unit pivots take a fast path;
-    any leftover non-unit block is finished by a small dense Smith
-    reduction.
+    are 1.  Each pivot column with a unit pivot contributes a factor 1; the
+    other pivot columns are cleared at the unit pivot rows and finished by a
+    small dense Smith reduction.
     """
     pivots = integer_column_echelon(columns)
-    if all(abs(col[r]) == 1 for r, col in pivots.items()):
-        return [1] * len(pivots)
-    dense_rows = sorted({k for col in pivots.values() for k in col})
+    units = {r: col for r, col in pivots.items() if abs(col[r]) == 1}
+    rest = [col for r, col in sorted(pivots.items()) if r not in units]
+    # A unit column has no row below its pivot, so clearing rows lowest
+    # first only adds entries in rows still to come.
+    unit_rows = sorted(units)
+    for j, col in enumerate(rest):
+        for r in unit_rows:
+            if v := col.get(r):
+                col = _combine(1, col, -v * units[r][r], units[r])
+        rest[j] = col
+    dense_rows = sorted({k for col in rest for k in col})
     row_pos = {r: i for i, r in enumerate(dense_rows)}
-    mat = [[0] * len(pivots) for _ in dense_rows]
-    for j, (_, col) in enumerate(sorted(pivots.items())):
+    mat = [[0] * len(rest) for _ in dense_rows]
+    for j, col in enumerate(rest):
         for r, v in col.items():
             mat[row_pos[r]][j] = v
-    return _dense_smith_diagonal(mat)
+    return [1] * len(units) + _dense_smith_diagonal(mat)
 
 
 def _dense_smith_diagonal(mat: list[list[int]]) -> list[int]:

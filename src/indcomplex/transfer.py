@@ -108,11 +108,17 @@ class TransferModel:
 @lru_cache(maxsize=None)
 def build_transfer_model(k: int) -> TransferModel:
     """The width-k model, refused before any table is built if they would not fit."""
-    fewer, count = 1, 2  # Fib(k + 1), Fib(k + 2): the states of a 1-row column
+    # Fib(k + 1), Fib(k + 2), from the 1-row column up; the loop stops as
+    # soon as the tables pass the limit, so a huge k is refused at once.
+    limit = address_space()
+    fewer, count = 1, 2
     for _ in range(k - 1):
         fewer, count = count, fewer + count
-    if (need := k * count * BYTES_PER_ENTRY) > address_space():
-        raise MemoryError(f"the width-{k} transfer tables need about {need} bytes")
+        if k * count * BYTES_PER_ENTRY > limit:
+            raise MemoryError(
+                f"the width-{k} transfer tables need more than the {limit} bytes "
+                "of address space"
+            )
     states = tuple(column_states(k))
     signs = tuple(-1 if s.bit_count() % 2 else 1 for s in states)
     paths = _path_sets(k)

@@ -44,6 +44,32 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     return Graph(verts, edges)
 
 
+# The 6-vertex triangulation of the real projective plane (RP^2_6).
+RP2_TRIANGLES = [
+    (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5),
+]
+
+
+def flag_rp2() -> Graph:
+    """A 31-vertex graph whose independence complex is a flag RP^2.
+
+    Vertices are the simplices of RP^2_6 and two are adjacent when neither
+    contains the other, so the independent sets are the chains of simplices:
+    I(G) is the barycentric subdivision of RP^2_6.
+    """
+    simplices = sorted(
+        {c for t in RP2_TRIANGLES for r in (1, 2, 3) for c in itertools.combinations(t, r)},
+        key=lambda c: (len(c), c),
+    )
+    edges = [
+        (i, j)
+        for (i, a), (j, b) in itertools.combinations(enumerate(simplices), 2)
+        if not set(a) <= set(b)  # a is listed first, so it is no larger than b
+    ]
+    return Graph([(len(c), i) for i, c in enumerate(simplices)], edges)
+
+
 @pytest.fixture
 def rng():
     return random.Random(987123)

@@ -6,12 +6,12 @@ from indcomplex import FaceBudgetExceeded, Family, build_family, build_gamma
 from indcomplex.faces import (
     BYTES_PER_FACE,
     count_faces,
-    enumerate_faces,
     euler_from_fvector,
     f_vector,
+    faces_by_dimension,
     link_graph,
 )
-from indcomplex.graphs import delete_vertices
+from indcomplex.graphs import delete_vertices, set_bits
 
 from conftest import (
     brute_force_independent_sets,
@@ -21,30 +21,34 @@ from conftest import (
 )
 
 
+def as_tuples(faces):
+    """Every face of a faces_by_dimension result as a sorted vertex tuple."""
+    return sorted(tuple(set_bits(face)) for group in faces.values() for face in group)
+
+
 class TestEnumerateFaces:
     def test_p3_matches_brute_force(self):
         p3 = build_gamma(3, 1)
-        faces = list(enumerate_faces(p3))
-        # Frozen from the subset-checking oracle, in lex order.
-        assert faces == [(), (0,), (0, 2), (1,), (2,)]
-        assert faces == brute_force_independent_sets(p3)
+        faces = faces_by_dimension(p3)
+        # Frozen from the subset-checking oracle, each group descending.
+        assert faces == {-1: [0], 0: [0b100, 0b010, 0b001], 1: [0b101]}
+        assert as_tuples(faces) == brute_force_independent_sets(p3)
 
     def test_k2(self):
         k2 = build_gamma(2, 1)
-        assert list(enumerate_faces(k2)) == [(), (0,), (1,)]
+        assert faces_by_dimension(k2) == {-1: [0], 0: [0b10, 0b01]}
 
     def test_edgeless_three_vertices_full_simplex(self):
         g = delete_vertices(build_gamma(3, 3), [1, 3, 4, 5, 7, 8])  # keep (1,1),(1,3),(3,1)
         assert not g.edges
-        assert len(list(enumerate_faces(g))) == 8
+        assert sum(map(len, faces_by_dimension(g).values())) == 8
 
-    def test_lex_order_and_uniqueness(self):
-        g = build_gamma(2, 3)
-        faces = list(enumerate_faces(g))
-        assert faces[0] == ()
-        nonempty = faces[1:]
-        assert nonempty == sorted(nonempty)
-        assert len(set(faces)) == len(faces)
+    def test_groups_strictly_descending(self):
+        faces = faces_by_dimension(build_gamma(2, 3))
+        assert faces[-1] == [0]
+        for d, group in faces.items():
+            assert all(face.bit_count() == d + 1 for face in group)
+            assert all(a > b for a, b in zip(group, group[1:]))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -52,12 +56,12 @@ class TestEnumerateFaces:
         import random
 
         g = random_grid_subgraph(random.Random(seed), max_n=2, max_vertices=8)
-        assert list(enumerate_faces(g)) == brute_force_independent_sets(g)
+        assert as_tuples(faces_by_dimension(g)) == brute_force_independent_sets(g)
 
     def test_budget_exceeded(self, face_budget_of):
         face_budget_of(5)
         with pytest.raises(FaceBudgetExceeded):
-            list(enumerate_faces(build_gamma(3, 3)))
+            faces_by_dimension(build_gamma(3, 3))
         # Under 4 the sweep's own states already outnumber the budget.
         face_budget_of(4)
         with pytest.raises(FaceBudgetExceeded, match="first 3 of 9 vertices"):
@@ -75,7 +79,7 @@ class TestEnumerateFaces:
         assert count_faces(build_gamma(7, 6)) == 69_050_253
         # A 2000-vertex path is refused by its count, not by recursion depth.
         with pytest.raises(FaceBudgetExceeded):
-            next(enumerate_faces(build_gamma(1, 2000)))
+            faces_by_dimension(build_gamma(1, 2000))
 
 
 class TestFVector:
@@ -92,7 +96,7 @@ class TestFVector:
     def test_count_faces_matches_enumeration(self):
         for n in (1, 2, 3):
             g = build_gamma(n, 4)
-            assert count_faces(g) == len(list(enumerate_faces(g)))
+            assert count_faces(g) == sum(map(len, faces_by_dimension(g).values()))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -166,7 +170,8 @@ class TestLinkDeletion:
         g = build_gamma(2, 4)
         sub = delete_vertices(g, [0, 5])
         sub_faces = {
-            tuple(g.index(sub.vertices[i]) for i in face)
-            for face in enumerate_faces(sub)
+            sum(1 << g.index(sub.vertices[i]) for i in set_bits(face))
+            for group in faces_by_dimension(sub).values()
+            for face in group
         }
-        assert sub_faces <= set(enumerate_faces(g))
+        assert sub_faces <= {face for group in faces_by_dimension(g).values() for face in group}

@@ -15,10 +15,11 @@ from indcomplex import (
 )
 from indcomplex import linalg
 from indcomplex.faces import euler_from_fvector, f_vector, faces_by_dimension
+from indcomplex.fold import reduce_graph
 from indcomplex.graphs import delete_vertices
 from indcomplex.homology import _boundary_rows, betti_of_graph, betti_over_field
 
-from conftest import disjoint_union, random_grid_subgraph
+from conftest import disjoint_union, flag_rp2, random_grid_subgraph
 
 
 def boundary_columns(g, d):
@@ -28,17 +29,17 @@ def boundary_columns(g, d):
 
 class TestBoundaryRows:
     def test_augmentation_row_for_k2(self):
-        assert faces_by_dimension(build_gamma(2, 1))[-1] == [()]
+        assert faces_by_dimension(build_gamma(2, 1))[-1] == [0]
         assert boundary_columns(build_gamma(2, 1), 0) == [[(0, 1)], [(0, 1)]]
 
     def test_p3_dimension_one(self):
-        # Single 1-face {0, 2}; rows are (0,), (1,), (2,) in lex order.
-        assert boundary_columns(build_gamma(3, 1), 1) == [[(0, -1), (2, 1)]]
+        # d{0, 2} = {2} - {0}; a row is its facet's mask.
+        assert boundary_columns(build_gamma(3, 1), 1) == [[(0b100, 1), (0b001, -1)]]
 
     def test_full_triangle_boundary_signs(self):
         g = delete_vertices(build_gamma(3, 3), [1, 3, 4, 5, 7, 8])  # 3 isolated vertices
-        # d{0,1,2} = {1,2} - {0,2} + {0,1}; rows in lex order {0,1},{0,2},{1,2}.
-        assert boundary_columns(g, 2) == [[(0, 1), (1, -1), (2, 1)]]
+        # d{0,1,2} = {1,2} - {0,2} + {0,1}; a row is its facet's mask.
+        assert boundary_columns(g, 2) == [[(0b110, 1), (0b101, -1), (0b011, 1)]]
 
     def test_boundary_squares_to_zero(self, rng):
         graphs = [build_gamma(2, 3)]
@@ -46,7 +47,7 @@ class TestBoundaryRows:
         for g in graphs:
             faces = faces_by_dimension(g)
             for d in range(1, max(faces) + 1):
-                lower = list(_boundary_rows(faces, d - 1))
+                lower = dict(zip(faces[d - 1], _boundary_rows(faces, d - 1)))
                 for col in _boundary_rows(faces, d):
                     acc = {}
                     for row, sign in col.items():
@@ -59,8 +60,8 @@ class TestBoundaryRows:
             faces = faces_by_dimension(random_grid_subgraph(rng, max_n=3, max_vertices=12))
             for d in range(max(faces) + 1):
                 full = list(_boundary_rows(faces, d))
-                cleared = set(rng.sample(range(len(full)), len(full) // 2))
-                kept = [col for i, col in enumerate(full) if i not in cleared]
+                cleared = set(rng.sample(faces[d], len(full) // 2))
+                kept = [col for face, col in zip(faces[d], full) if face not in cleared]
                 assert list(_boundary_rows(faces, d, cleared)) == kept
 
 
@@ -129,12 +130,53 @@ class TestIntegralHomology:
         assert profile.reduced_betti == {1: 1}
         assert profile.torsion == ()
 
+    def test_flag_rp2_torsion_depends_on_the_ring(self):
+        g = flag_rp2()
+        integral = betti_of_graph(g, "int")
+        assert (integral.reduced_betti, integral.torsion) == ({}, ((1, 2),))
+        assert betti_of_graph(g, "gf2").reduced_betti == {1: 1, 2: 1}
+        assert betti_of_graph(g, "gf3").reduced_betti == {}
+
+    def test_non_unit_pivots_keep_the_dense_block_small(self, monkeypatch):
+        # RP^2 joined with I(Γ(2,6)) = S^2 has 43,498 faces and one non-unit
+        # pivot; only that pivot's column may reach the dense Smith step.
+        dense = linalg._dense_smith_diagonal
+
+        def small_only(mat):
+            size = len(mat) * len(mat[0]) if mat else 0
+            assert size <= 10_000, f"dense Smith block of {size} entries"
+            return dense(mat)
+
+        monkeypatch.setattr(linalg, "_dense_smith_diagonal", small_only)
+        profile = integral_homology(disjoint_union(flag_rp2(), build_gamma(2, 6)))
+        assert profile.torsion == ((4, 2),)
+        assert profile.reduced_betti == {}
+
     @pytest.mark.deep
     def test_gamma_5x6_integral(self):
         # The 26-vertex residual has 162,401 faces; Smith reduction handles it.
         profile = betti_of_family(Family("gamma", 5), coeff="int")
         assert profile.reduced_betti == {7: 1}
         assert profile.torsion == ()
+
+
+def test_columns_and_pivots_run_the_same_way(monkeypatch):
+    # Any column order and pivot choice give the same ranks; on the Γ(4,6)
+    # residual a mixed order takes 203,098 or more integer steps.
+    calls = {"_gf2_step": 0, "_z_step": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _step=getattr(linalg, name)):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    residual = reduce_graph(build_gamma(4, 6)).residual
+    assert len(residual) == 20
+    assert betti_over_field(residual, 2).reduced_betti == {5: 3}
+    assert integral_homology(residual).reduced_betti == {5: 3}
+    assert calls["_gf2_step"] <= 1_796
+    assert calls["_z_step"] <= 34_515
 
 
 class TestBettiOfFamily:

@@ -150,7 +150,7 @@ class TestRanks:
     def test_pivot_rows(self):
         # Column 2 reduces to zero against column 0; column 1's pivot is row 1.
         assert gf2_rank([[0, 2], [1, 2], [0, 2], [0]]) == {0, 1, 2}
-        assert modp_rank([{0: 1, 2: 2}, {1: 1, 2: 1}, {0: 2, 2: 4}], 5) == {1, 2}
+        assert modp_rank([{0: 1, 2: 2}, {1: 1, 2: 1}, {0: 2, 2: 4}], 5) == {0, 1}
 
     def test_modp_rejects_bad_modulus(self):
         with pytest.raises(ValueError):

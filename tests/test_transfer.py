@@ -46,6 +46,19 @@ class TestColumnStates:
         assert proc.returncode == 3, proc.stderr
         assert "width-26 transfer tables" in proc.stderr
 
+    @pytest.mark.parametrize("k", [100_000, 10_000_000])
+    def test_huge_width_refused_at_once(self, k):
+        # The width check stops counting states at the limit, so neither the
+        # state count nor the message grows with k.
+        started = time.perf_counter()
+        proc = run_capped(
+            ["-m", "indcomplex.cli", "euler", "--k", str(k), "--n", "1"], 512 << 20, timeout=10
+        )
+        assert time.perf_counter() - started < 1.0
+        assert proc.returncode == 3, proc.stderr
+        assert f"width-{k} transfer tables" in proc.stderr
+        assert f"{512 << 20} bytes of address space" in proc.stderr
+
 
 class TestTransferModel:
     def test_entry_sign_and_disjointness(self):
