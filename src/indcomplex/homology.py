@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Collection, Iterator
+from typing import Collection, Iterable, Iterator
 
 from . import linalg
 from .faces import faces_by_dimension
@@ -64,16 +64,20 @@ class BettiProfile:
 
 
 def _boundary_rows(
-    faces: dict[int, list[int]], d: int, cleared: Collection[int] = ()
-) -> Iterator[dict[int, int]]:
-    """Yield the boundary of each d-face not in `cleared`, as {row: sign}.
+    faces: dict[int, list[int]], d: int, cleared: Collection[int] = (), signed: bool = True
+) -> Iterator[Iterable[int]]:
+    """Yield the boundary of each d-face not in `cleared`, as {row: sign}, or
+    as its rows alone when not `signed` (GF(2) has no use for the signs).
 
     A row is the facet's own mask: dropping the j-th smallest vertex v gives
     face ^ 1 << v, with sign (-1)^j; a vertex's one facet is the empty face 0.
     """
     for face in faces[d]:
         if face not in cleared:
-            yield {face ^ 1 << v: (-1) ** j for j, v in enumerate(set_bits(face))}
+            if signed:
+                yield {face ^ 1 << v: (-1) ** j for j, v in enumerate(set_bits(face))}
+            else:
+                yield (face ^ 1 << v for v in set_bits(face))
 
 
 def _betti_from_ranks(faces: dict[int, list[int]], ranks: dict[int, int]) -> dict[int, int]:
@@ -107,7 +111,7 @@ def betti_over_field(g: Graph, p: int) -> BettiProfile:
     # Pivot rows of the boundary one dimension up: the d-faces to clear.
     pivots: set[int] = set()
     for d in range(max(faces), -1, -1):
-        columns = _boundary_rows(faces, d, pivots)
+        columns = _boundary_rows(faces, d, pivots, signed=p != 2)
         pivots = linalg.gf2_rank(columns) if p == 2 else linalg.modp_rank(columns, p)
         ranks[d] = len(pivots)
     return BettiProfile(_betti_from_ranks(faces, ranks), (), f"gf{p}")

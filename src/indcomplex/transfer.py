@@ -12,6 +12,16 @@ column-pair matrix is never stored: a column costs O(k * Fib(k + 2))
 additions, and the tables that drive it take O(k * Fib(k + 2)) entries; a
 width whose tables would not fit in the address space raises MemoryError.
 
+Past 2L columns, L = #states + 1, the sweep stops stepping the model and
+continues by the minimal linear recurrence of the terms it holds.  With chi_n
+= 1 - 1^T M^(n-1) v for the transfer matrix M, chi is annihilated by Q(shift)
+with Q = (x - 1) * charpoly(M), a monic integer polynomial of degree L.
+Berlekamp-Massey modulo a large prime guesses the minimal recurrence from the
+2L terms (Massey, "Shift-register synthesis and BCH decoding", 1969), and the
+guess is kept only if it has order at most L and holds exactly over Z on all
+2L terms, which proves it for every n (see `_recurrence`); otherwise the sweep
+goes on column by column.  Width 6 steps 43 columns however large n is.
+
 All arithmetic uses Python integers, which are exact at any size, so no
 overflow handling is needed even where intermediate state-vector entries
 grow without bound.
@@ -27,6 +37,10 @@ from .faces import address_space
 # Peak memory per entry of k * Fib(k + 2), with headroom: building the tables
 # grew peak RSS by 69-72 B an entry at k = 18..24 (CPython 3.11, x86-64).
 BYTES_PER_ENTRY = 128
+
+# Berlekamp-Massey works modulo this prime; an unlucky prime only costs the
+# fallback to the column sweep, since every guess is checked over Z.
+_PRIME = (1 << 61) - 1
 
 Cell = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -144,14 +158,78 @@ def build_transfer_model(k: int) -> TransferModel:
     return TransferModel(k, states, signs, tuple(cells))
 
 
+def _recurrence(seq: list[int], order: int) -> list[int] | None:
+    """Coefficients a_1..a_e with seq[n] = sum(a_i * seq[n - i]) for e <= n < len(seq).
+
+    Berlekamp-Massey modulo `_PRIME` finds the shortest such recurrence mod
+    p; each coefficient is lifted to its symmetric residue.  The result is
+    returned only if e <= `order` and the recurrence holds exactly over Z on
+    every term of `seq`, else None.
+
+    Why the check is a proof, when seq holds 2L terms of a sequence that some
+    monic integer Q of degree L annihilates (L = `order`; for chi, Q = (x - 1)
+    * charpoly(M)): with P(x) = x^e - a_1 x^(e-1) - ... - a_e, the sequence w
+    = P(shift)seq is annihilated by Q too, as shifts commute.  The check makes
+    w_0 .. w_(2L-1-e) zero, which covers w_0 .. w_(L-1) as e <= L, and a
+    sequence annihilated by a monic Q of degree L is zero once L consecutive
+    terms are.  So the recurrence holds for every n, and no value produced
+    from it rests on the modular guess.
+    """
+    p = _PRIME
+    s = [x % p for x in seq]
+    # Connection polynomials: c is the current one, b the one before the
+    # last length change, whose discrepancy was `last`, `gap` terms ago.
+    c, b = [1], [1]
+    e, gap, last = 0, 1, 1
+    for n, term in enumerate(s):
+        d = (term + sum(c[i] * s[n - i] for i in range(1, e + 1))) % p
+        if d == 0:
+            gap += 1
+            continue
+        scale = d * pow(last, -1, p) % p
+        prev = c
+        c = c + [0] * (len(b) + gap - len(c))
+        for i, bi in enumerate(b):
+            c[i + gap] = (c[i + gap] - scale * bi) % p
+        if 2 * e <= n:
+            e, b, last, gap = n + 1 - e, prev, d, 1
+        else:
+            gap += 1
+    if e > order:
+        return None
+    coeffs = [(-x) % p for x in c[1:]]  # c has e + 1 entries
+    coeffs = [a - p if a > p // 2 else a for a in coeffs]
+    if any(
+        seq[n] != sum(a * seq[n - i] for i, a in enumerate(coeffs, 1))
+        for n in range(e, len(seq))
+    ):
+        return None
+    return coeffs
+
+
 def euler_sweep(k: int, max_n: int) -> list[int]:
-    """chi(I(Gamma_{n,k})) for n = 1..max_n, in one incremental sweep."""
+    """chi(I(Gamma_{n,k})) for n = 1..max_n, in one incremental sweep.
+
+    The model is stepped column by column until 2L terms are held, L =
+    #states + 1.  Then, if more are asked for, `_recurrence` proves the
+    minimal recurrence of those terms (chi satisfies (x - 1) * charpoly(M) of
+    degree L, so an exact check on 2L terms holds for all n) and the rest come
+    from it; if it finds none, stepping goes on.
+    """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     model = build_transfer_model(k)
+    order = len(model.states) + 1
     vec = model.initial()
     out = [1 - sum(vec)]
-    for _ in range(max_n - 1):
+    while len(out) < max_n:
+        if len(out) == 2 * order:
+            coeffs = _recurrence(out, order)
+            if coeffs is not None:
+                terms = [(i, a) for i, a in enumerate(coeffs, 1) if a]
+                for n in range(len(out), max_n):
+                    out.append(sum([a * out[n - i] for i, a in terms]))
+                break
         vec = model.step(vec)
         out.append(1 - sum(vec))
     return out

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from indcomplex import Family, betti_of_family, build_family, build_gamma
+from indcomplex import Family, betti_of_family, build_family, build_gamma, expected_f6
 from indcomplex.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from indcomplex.graphs import graph_to_json_dict
 from indcomplex.verify import Case, VerificationReport
@@ -199,6 +199,19 @@ class TestEuler:
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5, 6]
         assert [int(r[1]) for r in rows] == [0, 2, 2, -2, 0, 4]
+
+    def test_sweep_far_rows_match_the_period_table(self, capsys):
+        code, out, _ = run(capsys, "euler", "--sweep", "99990..100000")
+        assert code == EXIT_OK
+        rows = [tuple(map(int, line.split(","))) for line in out.strip().splitlines()[1:]]
+        assert rows == [(n, expected_f6(n)) for n in range(99_990, 100_001)]
+
+    def test_transfer_agrees_with_predict_at_n_100000(self, capsys):
+        code, out, _ = run(capsys, "euler", "--n", "100000", "--method", "transfer")
+        assert code == EXIT_OK
+        code, predicted, _ = run(capsys, "predict", "--n", "100000")
+        assert code == EXIT_OK
+        assert json.loads(out)["chi"] == json.loads(predicted)["chi"]
 
     @pytest.mark.parametrize(
         "extra", [("--n", "9"), ("--method", "predict"), ("--method", "enumerate")]

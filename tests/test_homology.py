@@ -63,6 +63,8 @@ class TestBoundaryRows:
                 cleared = set(rng.sample(faces[d], len(full) // 2))
                 kept = [col for face, col in zip(faces[d], full) if face not in cleared]
                 assert list(_boundary_rows(faces, d, cleared)) == kept
+                unsigned = _boundary_rows(faces, d, cleared, signed=False)
+                assert [list(rows) for rows in unsigned] == [list(col) for col in kept]
 
 
 class TestBettiOverField:

@@ -4,12 +4,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indcomplex import build_gamma, euler_chi, euler_sweep, period_detect
+from indcomplex import build_gamma, euler_chi, euler_sweep, expected_f6, period_detect, transfer
 from indcomplex.faces import euler_from_fvector, f_vector
-from indcomplex.transfer import build_transfer_model, column_states
+from indcomplex.transfer import _recurrence, build_transfer_model, column_states
 from indcomplex.predictor import F6_PERIOD, F6_PERIOD_LENGTH
 
 from conftest import run_capped
+
+
+def reference_sweep(k, max_n):
+    """chi for n = 1..max_n by stepping the model once per column, with no recurrence."""
+    model = build_transfer_model(k)
+    vec = model.initial()
+    out = [1 - sum(vec)]
+    for _ in range(max_n - 1):
+        vec = model.step(vec)
+        out.append(1 - sum(vec))
+    return out
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """A list that counts every TransferModel.step call while the test runs."""
+    calls = []
+    step = transfer.TransferModel.step
+
+    def spy(self, vec):
+        calls.append(len(vec))
+        return step(self, vec)
+
+    monkeypatch.setattr(transfer.TransferModel, "step", spy)
+    return calls
 
 
 def entry(model, s, t):
@@ -174,3 +199,45 @@ class TestPeriodDetect:
         assert p == 28
         values = euler_sweep(6, 120)
         assert all(values[i] == values[i + p] for i in range(120 - p))
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_reference_sweep(self, k):
+        # 3 * 2L + 7 terms, L = #states + 1.
+        n = 3 * 2 * (len(build_transfer_model(k).states) + 1) + 7
+        assert euler_sweep(k, n) == reference_sweep(k, n)
+
+    def test_matches_period_table_to_3000(self):
+        assert euler_sweep(6, 3000) == [expected_f6(n) for n in range(1, 3001)]
+
+    @pytest.mark.parametrize("k,max_n,steps", [(6, 10**5, 43), (14, 200, 199)])
+    def test_steps_stop_at_2l_terms(self, step_calls, k, max_n, steps):
+        # Width 6: 2L = 44 terms take 43 steps.  Width 14: 2L = 1,976 > 200.
+        values = euler_sweep(k, max_n)
+        assert len(values) == max_n
+        assert len(step_calls) == steps
+
+    def test_failed_guess_falls_back_to_stepping(self, monkeypatch, step_calls):
+        # Modulo 5 the guessed width-7 recurrence lifts wrongly and fails the
+        # exact check, so every column is stepped.
+        monkeypatch.setattr(transfer, "_PRIME", 5)
+        values = euler_sweep(7, 300)
+        assert len(step_calls) == 299
+        assert values == reference_sweep(7, 300)
+
+    def test_finds_minimal_recurrence(self):
+        fib = [1, 1, 2, 3, 5, 8]
+        assert _recurrence(fib, 3) == [1, 1]
+        assert _recurrence(euler_sweep(6, 44), 22) == [0, -1, 0, 0, 0, 0, 1, 0, 1]
+
+    def test_no_recurrence_of_order_at_most_l(self):
+        # Order 6 is needed for five zeros then a one, more than L = 3.
+        assert _recurrence([0, 0, 0, 0, 0, 1], 3) is None
+
+    def test_coefficient_beyond_the_prime_is_refused(self):
+        # seq[n] = c * seq[n - 1] with c > 2^61: the guess is c mod p, lifted
+        # to the wrong integer, so the exact check rejects it.
+        c = 10**30
+        assert _recurrence([c**i for i in range(4)], 2) is None
+        assert _recurrence([3**i for i in range(4)], 2) == [3]
