@@ -5,17 +5,20 @@ bitmask, in the augmented convention: the empty face spans dimension -1, so
 contractible complexes have all reduced Betti numbers zero and the empty
 complex reports a single generator in dimension -1.
 
-Each boundary map is streamed one column at a time, straight from the
-per-dimension face lists into the elimination of its ring (sparse
-{row: coefficient} columns, a row being a facet's mask, reduced as row sets
-over GF(2)); only ranks and torsion are kept, so no whole boundary matrix is
-ever held.  Over a field the boundaries are reduced from the top dimension
-down with clearing: a d-face that is a pivot row of the (d+1)-boundary has a
-d-boundary column that reduces to zero, so it is never assembled (Chen and
-Kerber, "Persistent homology computation with a twist", 2011).  Columns run
-in descending mask order and pivots are lowest rows: any order gives the
-same ranks, but on the Γ(4,6) residual mixed directions take 6 to 7 times
-the integer steps.
+Each boundary map is streamed one face at a time, straight from the
+per-dimension face lists into the elimination of its ring, with a per-face
+builder for its column (sparse {row: ±1}, a row being a facet's mask, or the
+row set alone over GF(2)); only ranks and torsion are kept, so no whole
+boundary matrix is ever held.  The elimination reads a column's lowest row,
+the face minus its top vertex, off the face mask, and builds the column only
+when that row is already taken or when the column reduces another.  Over a
+field the boundaries are reduced from the top dimension down with clearing:
+a d-face that is a pivot row of the (d+1)-boundary has a d-boundary column
+that reduces to zero, so it is never passed at all (Chen and Kerber,
+"Persistent homology computation with a twist", 2011).  Columns run in
+descending mask order and pivots are lowest rows: any order gives the same
+ranks, but on the Γ(4,6) residual mixed directions take 6 to 7 times the
+integer steps.
 
 The family pipeline first fold-reduces the graph, computes homology on the
 residual, and shifts dimensions up by the number of recorded suspensions.
@@ -25,12 +28,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator
+from itertools import filterfalse
 
 from . import linalg
 from .faces import faces_by_dimension
 from .fold import reduce_graph
-from .graphs import Family, Graph, build_family, set_bits
+from .graphs import Family, Graph, build_family
 
 
 @dataclass(frozen=True)
@@ -63,21 +66,31 @@ class BettiProfile:
         }
 
 
-def _boundary_rows(
-    faces: dict[int, list[int]], d: int, cleared: Collection[int] = (), signed: bool = True
-) -> Iterator[Iterable[int]]:
-    """Yield the boundary of each d-face not in `cleared`, as {row: sign}, or
-    as its rows alone when not `signed` (GF(2) has no use for the signs).
+def _facets(face: int) -> set[int]:
+    """The boundary of a face over GF(2): its facets' masks, the rows."""
+    rows = set()
+    rest = face
+    while rest:
+        low = rest & -rest
+        rows.add(face ^ low)
+        rest ^= low
+    return rows
+
+
+def _signed_facets(face: int) -> dict[int, int]:
+    """The boundary of a face as {row: sign}.
 
     A row is the facet's own mask: dropping the j-th smallest vertex v gives
     face ^ 1 << v, with sign (-1)^j; a vertex's one facet is the empty face 0.
     """
-    for face in faces[d]:
-        if face not in cleared:
-            if signed:
-                yield {face ^ 1 << v: (-1) ** j for j, v in enumerate(set_bits(face))}
-            else:
-                yield (face ^ 1 << v for v in set_bits(face))
+    col = {}
+    rest, sign = face, 1
+    while rest:
+        low = rest & -rest
+        col[face ^ low] = sign
+        rest ^= low
+        sign = -sign
+    return col
 
 
 def _betti_from_ranks(faces: dict[int, list[int]], ranks: dict[int, int]) -> dict[int, int]:
@@ -111,8 +124,11 @@ def betti_over_field(g: Graph, p: int) -> BettiProfile:
     # Pivot rows of the boundary one dimension up: the d-faces to clear.
     pivots: set[int] = set()
     for d in range(max(faces), -1, -1):
-        columns = _boundary_rows(faces, d, pivots, signed=p != 2)
-        pivots = linalg.gf2_rank(columns) if p == 2 else linalg.modp_rank(columns, p)
+        columns = filterfalse(pivots.__contains__, faces[d])
+        if p == 2:
+            pivots = linalg.gf2_rank(columns, _facets)
+        else:
+            pivots = linalg.modp_rank(columns, p, _signed_facets)
         ranks[d] = len(pivots)
     return BettiProfile(_betti_from_ranks(faces, ranks), (), f"gf{p}")
 
@@ -126,7 +142,7 @@ def integral_homology(g: Graph) -> BettiProfile:
     # the others, so skipping it can shrink the column lattice and report
     # torsion that is not there.
     for d in range(max(faces) + 1):
-        factors = linalg.smith_invariant_factors(_boundary_rows(faces, d))
+        factors = linalg.smith_invariant_factors(faces[d], _signed_facets)
         ranks[d] = len(factors)
         # Non-unit factors of the d-boundary are torsion in dimension d - 1.
         torsion.extend((d - 1, f) for f in factors if f != 1)

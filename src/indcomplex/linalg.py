@@ -16,33 +16,83 @@ The field reductions return their pivot rows, which a caller can use to
 clear (skip) columns of the next boundary down that are known to reduce to
 zero.  The integer echelon also certifies a torsion-free cokernel whenever
 every pivot ends up at +-1.
+
+A boundary column need not be built to be placed.  Given face masks and a
+per-face `build`, the loop reads a face's lowest row off its mask, the face
+minus its top vertex, with coefficient +-1.  If that row is free, the mask
+itself becomes the pivot and nothing is built; a column is built only when
+its row is taken, and a stored mask only when it reduces another column.
+This extends clearing's "never build what reduces to zero" to pivots that
+are never used (as Ripser does with its implicit boundary matrix: Bauer,
+J. Appl. Comput. Topol. 2021).  The elimination itself, every step and
+every pivot row, is the same as on the built columns.
 """
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import Callable, Iterable, Mapping
+
+# Miller-Rabin on the 13 prime bases up to 41 is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+    """Whether p is prime, by deterministic Miller-Rabin.
+
+    Raises ValueError for p >= MR_BOUND rather than give an unproven answer.
+    """
+    if p >= MR_BOUND:
+        raise ValueError(f"cannot decide whether {p} is prime: only p < {MR_BOUND} is supported")
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _eliminate(columns: Iterable, reduce: Callable) -> dict:
+def _eliminate(columns: Iterable, reduce: Callable, build: Callable | None = None) -> dict:
     """Reduce each column while its lowest row r is some pivot's row.
 
     `reduce(col, piv, r, pivots)` returns col cleared at row r by piv =
     pivots[r] (it may also replace pivots[r]); a column left nonzero at a
     free row becomes that row's pivot.  Returns the pivot map, keyed by row.
+
+    With `build`, each column is given as a face mask and `build(face)`
+    makes its boundary column.  A face whose lowest row is free is stored as
+    its mask (an int) and built, in place, only when it is used as piv.
     """
     pivots: dict = {}
     for col in columns:
+        if build is not None:
+            r = col ^ 1 << col.bit_length() - 1
+            if r not in pivots:
+                pivots[r] = col
+                continue
+            col = build(col)
         while col:
             r = min(col)
             piv = pivots.get(r)
             if piv is None:
                 pivots[r] = col
                 break
+            if type(piv) is int:
+                piv = pivots[r] = build(piv)
             col = reduce(col, piv, r, pivots)
     return pivots
 
@@ -68,16 +118,22 @@ def _gf2_step(col: set[int], piv: set[int], r: int, pivots: dict) -> set[int]:
     return col
 
 
-def gf2_rank(columns: Iterable[Iterable[int]]) -> set[int]:
-    """Pivot rows of a GF(2) matrix given as columns of nonzero row indices.
+def gf2_rank(columns: Iterable, build: Callable[[int], set[int]] | None = None) -> set[int]:
+    """Pivot rows of a GF(2) matrix given as columns of nonzero row indices,
+    or as face masks whose row sets `build` makes (see `_eliminate`).
 
     The rank is the number of pivot rows.
     """
-    return set(_eliminate((set(rows) for rows in columns), _gf2_step))
+    if build is None:
+        columns = (set(rows) for rows in columns)
+    return set(_eliminate(columns, _gf2_step, build))
 
 
-def modp_rank(columns: Iterable[Mapping[int, int]], p: int) -> set[int]:
-    """Pivot rows of a GF(p) matrix given as sparse columns (row -> value).
+def modp_rank(
+    columns: Iterable, p: int, build: Callable[[int], dict[int, int]] | None = None
+) -> set[int]:
+    """Pivot rows of a GF(p) matrix given as sparse columns (row -> value),
+    or as face masks whose +-1 columns `build` makes (see `_eliminate`).
 
     The rank is the number of pivot rows.
     """
@@ -87,8 +143,9 @@ def modp_rank(columns: Iterable[Mapping[int, int]], p: int) -> set[int]:
     def step(col, piv, r, pivots):
         return _combine(1, col, -col[r] * pow(piv[r], -1, p), piv, p)
 
-    cols = ({r: v % p for r, v in raw.items() if v % p} for raw in columns)
-    return set(_eliminate(cols, step))
+    if build is None:
+        columns = ({r: v % p for r, v in raw.items() if v % p} for raw in columns)
+    return set(_eliminate(columns, step, build))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -127,8 +184,12 @@ def integer_column_echelon(
     return _eliminate(({r: v for r, v in raw.items() if v} for raw in columns), _z_step)
 
 
-def smith_invariant_factors(columns: Iterable[Mapping[int, int]]) -> list[int]:
-    """Nontrivial part of the Smith normal form of the column lattice.
+def smith_invariant_factors(
+    columns: Iterable, build: Callable[[int], dict[int, int]] | None = None
+) -> list[int]:
+    """Nontrivial part of the Smith normal form of the column lattice, its
+    columns given as sparse columns (row -> int) or as face masks whose +-1
+    columns `build` makes (see `_eliminate`).
 
     Returns the invariant factors d_1 | d_2 | ... | d_r (r = rank, all
     positive).  The cokernel of the matrix is torsion-free iff all factors
@@ -136,8 +197,9 @@ def smith_invariant_factors(columns: Iterable[Mapping[int, int]]) -> list[int]:
     other pivot columns are cleared at the unit pivot rows and finished by a
     small dense Smith reduction.
     """
-    pivots = integer_column_echelon(columns)
-    units = {r: col for r, col in pivots.items() if abs(col[r]) == 1}
+    pivots = _eliminate(columns, _z_step, build) if build else integer_column_echelon(columns)
+    # A stored face mask is an unbuilt boundary column: its pivot is +-1.
+    units = {r: col for r, col in pivots.items() if type(col) is int or abs(col[r]) == 1}
     rest = [col for r, col in sorted(pivots.items()) if r not in units]
     # A unit column has no row below its pivot, so clearing rows lowest
     # first only adds entries in rows still to come.
@@ -145,7 +207,10 @@ def smith_invariant_factors(columns: Iterable[Mapping[int, int]]) -> list[int]:
     for j, col in enumerate(rest):
         for r in unit_rows:
             if v := col.get(r):
-                col = _combine(1, col, -v * units[r][r], units[r])
+                unit = units[r]
+                if type(unit) is int:
+                    unit = units[r] = build(unit)
+                col = _combine(1, col, -v * unit[r], unit)
         rest[j] = col
     dense_rows = sorted({k for col in rest for k in col})
     row_pos = {r: i for i, r in enumerate(dense_rows)}

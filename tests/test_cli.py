@@ -10,6 +10,7 @@ import pytest
 from indcomplex import Family, betti_of_family, build_family, build_gamma, expected_f6
 from indcomplex.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from indcomplex.graphs import graph_to_json_dict
+from indcomplex.linalg import MR_BOUND
 from indcomplex.verify import Case, VerificationReport
 
 from conftest import run_capped
@@ -72,6 +73,26 @@ class TestHomology:
         assert code == EXIT_USAGE
         assert out == ""
         assert "unknown coefficient descriptor" in err
+
+    @pytest.mark.parametrize("p", ["1000000000000000003", "2305843009213693951"])
+    def test_large_prime_field(self, capsys, p):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "homology", "--family", "gamma", "--n", "2", "--coeff", f"gf{p}"
+        )
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_OK
+        assert json.loads(out)["reduced_betti"] == {"2": 1}
+
+    def test_prime_beyond_the_primality_bound_is_usage_error(self, capsys):
+        # 2^89 - 1 is prime, but above the bound where Miller-Rabin on the
+        # first 13 prime bases is proven exact.
+        code, out, err = run(
+            capsys, "homology", "--family", "gamma", "--n", "2", "--coeff", f"gf{2**89 - 1}"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(MR_BOUND) in err
 
     def test_budget_abort(self, capsys, face_budget_of):
         face_budget_of(10)

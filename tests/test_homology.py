@@ -13,18 +13,18 @@ from indcomplex import (
     integral_homology,
     predict_family,
 )
-from indcomplex import linalg
+from indcomplex import homology, linalg
 from indcomplex.faces import euler_from_fvector, f_vector, faces_by_dimension
 from indcomplex.fold import reduce_graph
 from indcomplex.graphs import delete_vertices
-from indcomplex.homology import _boundary_rows, betti_of_graph, betti_over_field
+from indcomplex.homology import _facets, _signed_facets, betti_of_graph, betti_over_field
 
 from conftest import disjoint_union, flag_rp2, random_grid_subgraph
 
 
 def boundary_columns(g, d):
     """The d-boundary of I(g) as ordered (row, sign) lists, one per d-face."""
-    return [list(col.items()) for col in _boundary_rows(faces_by_dimension(g), d)]
+    return [list(_signed_facets(face).items()) for face in faces_by_dimension(g)[d]]
 
 
 class TestBoundaryRows:
@@ -47,24 +47,24 @@ class TestBoundaryRows:
         for g in graphs:
             faces = faces_by_dimension(g)
             for d in range(1, max(faces) + 1):
-                lower = dict(zip(faces[d - 1], _boundary_rows(faces, d - 1)))
-                for col in _boundary_rows(faces, d):
+                for face in faces[d]:
                     acc = {}
-                    for row, sign in col.items():
-                        for r2, s2 in lower[row].items():
+                    for row, sign in _signed_facets(face).items():
+                        for r2, s2 in _signed_facets(row).items():
                             acc[r2] = acc.get(r2, 0) + sign * s2
                     assert all(v == 0 for v in acc.values())
 
-    def test_cleared_faces_are_skipped(self, rng):
+    def test_unsigned_rows_are_the_signed_keys(self, rng):
+        # The elimination places a face without building its column: the
+        # lowest row is the face minus its top vertex, with coefficient +-1.
         for _ in range(10):
             faces = faces_by_dimension(random_grid_subgraph(rng, max_n=3, max_vertices=12))
             for d in range(max(faces) + 1):
-                full = list(_boundary_rows(faces, d))
-                cleared = set(rng.sample(faces[d], len(full) // 2))
-                kept = [col for face, col in zip(faces[d], full) if face not in cleared]
-                assert list(_boundary_rows(faces, d, cleared)) == kept
-                unsigned = _boundary_rows(faces, d, cleared, signed=False)
-                assert [list(rows) for rows in unsigned] == [list(col) for col in kept]
+                for face in faces[d]:
+                    signed = _signed_facets(face)
+                    assert _facets(face) == set(signed)
+                    lowest = face ^ 1 << face.bit_length() - 1
+                    assert min(signed) == lowest and abs(signed[lowest]) == 1
 
 
 class TestBettiOverField:
@@ -93,9 +93,9 @@ class TestBettiOverField:
             faces = faces_by_dimension(g)
             ranks = {
                 d: len(
-                    linalg.gf2_rank(_boundary_rows(faces, d))
+                    linalg.gf2_rank([_facets(face) for face in faces[d]])
                     if p == 2
-                    else linalg.modp_rank(_boundary_rows(faces, d), p)
+                    else linalg.modp_rank([_signed_facets(face) for face in faces[d]], p)
                 )
                 for d in range(max(faces) + 1)
             }
@@ -105,6 +105,34 @@ class TestBettiOverField:
                 if b:
                     expected[d] = b
             assert betti_over_field(g, p).reduced_betti == expected
+
+    def test_cleared_faces_are_skipped(self, rng, monkeypatch):
+        # Each elimination gets the d-faces that are not pivot rows of the
+        # (d+1)-boundary, in face order, and nothing else.
+        calls = []
+        for name in ("gf2_rank", "modp_rank"):
+
+            def spy(columns, *args, _rank=getattr(linalg, name)):
+                columns = list(columns)
+                pivots = _rank(columns, *args)
+                calls.append((columns, pivots))
+                return pivots
+
+            monkeypatch.setattr(linalg, name, spy)
+        skipped = 0
+        for p in (2, 3):
+            for _ in range(10):
+                g = random_grid_subgraph(rng, max_n=3, max_vertices=12)
+                faces = faces_by_dimension(g)
+                calls.clear()
+                betti_over_field(g, p)
+                assert len(calls) == max(faces) + 1
+                cleared = set()
+                for d, (columns, pivots) in zip(range(max(faces), -1, -1), calls):
+                    assert columns == [face for face in faces[d] if face not in cleared]
+                    skipped += len(faces[d]) - len(columns)
+                    cleared = pivots
+        assert skipped > 0
 
     def test_gf2_equals_gf3_small(self):
         for kind in ("x", "y", "a", "b"):
@@ -179,6 +207,83 @@ def test_columns_and_pivots_run_the_same_way(monkeypatch):
     assert integral_homology(residual).reduced_betti == {5: 3}
     assert calls["_gf2_step"] <= 1_796
     assert calls["_z_step"] <= 34_515
+
+
+@pytest.mark.parametrize("n,betti,most", [(4, {5: 3}, 2_655), (5, {7: 1}, 38_968)])
+def test_gf2_builds_only_the_columns_it_reads(monkeypatch, n, betti, most):
+    # Of the 5,455 and 81,201 uncleared columns of the Γ(4,6) and Γ(5,6)
+    # residuals, only those whose lowest row is taken, or that reduce
+    # another, are built.
+    builds = 0
+
+    def counted(face, _facets=_facets):
+        nonlocal builds
+        builds += 1
+        return _facets(face)
+
+    monkeypatch.setattr(homology, "_facets", counted)
+    residual = reduce_graph(build_gamma(n, 6)).residual
+    assert betti_over_field(residual, 2).reduced_betti == betti
+    assert 0 < builds <= most
+
+
+def test_eliminations_take_their_columns_first(monkeypatch):
+    # The benchmark counts an elimination's columns by wrapping its first
+    # positional argument in a one-pass iterator, and reads the rank as
+    # len(result); a keyword or a second pass would break that count.
+    fed = {}
+    for name in ("gf2_rank", "modp_rank", "smith_invariant_factors"):
+
+        def wrapper(*args, _name=name, _fn=getattr(linalg, name), **kwargs):
+            assert args, f"{_name} got no positional column sequence"
+
+            def counted(columns):
+                for col in columns:
+                    fed[_name] = fed.get(_name, 0) + 1
+                    yield col
+
+            result = _fn(counted(args[0]), *args[1:], **kwargs)
+            assert len(result) >= 0
+            return result
+
+        monkeypatch.setattr(linalg, name, wrapper)
+    residual = reduce_graph(build_gamma(4, 6)).residual
+    betti_over_field(residual, 2)
+    betti_over_field(residual, 3)
+    integral_homology(residual)
+    # The Z path has no clearing: it takes every face of dimension >= 0.
+    assert fed == {"gf2_rank": 5_455, "modp_rank": 5_455, "smith_invariant_factors": 10_906}
+
+
+class TestLazyColumns:
+    """Face masks with a builder run the same elimination as built columns."""
+
+    @staticmethod
+    def built(pivots, build):
+        return {r: build(col) if type(col) is int else col for r, col in pivots.items()}
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_same_pivots_as_explicit_columns(self, seed):
+        faces = faces_by_dimension(
+            random_grid_subgraph(random.Random(seed), max_n=3, max_vertices=12)
+        )
+        for d in range(max(faces) + 1):
+            group = faces[d]
+            sets = [_facets(face) for face in group]
+            signed = [_signed_facets(face) for face in group]
+            assert linalg.gf2_rank(group, _facets) == linalg.gf2_rank(sets)
+            assert linalg.modp_rank(group, 3, _signed_facets) == linalg.modp_rank(signed, 3)
+            assert self.built(
+                linalg._eliminate(group, linalg._gf2_step, _facets), _facets
+            ) == linalg._eliminate(sets, linalg._gf2_step)
+            # Over Z the pivot columns themselves agree, once built.
+            assert self.built(
+                linalg._eliminate(group, linalg._z_step, _signed_facets), _signed_facets
+            ) == linalg.integer_column_echelon(signed)
+            assert linalg.smith_invariant_factors(
+                group, _signed_facets
+            ) == linalg.smith_invariant_factors(signed)
 
 
 class TestBettiOfFamily:

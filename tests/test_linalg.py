@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indcomplex.linalg import (
+    MR_BOUND,
     gf2_rank,
     integer_column_echelon,
+    is_prime,
     modp_rank,
     smith_invariant_factors,
 )
@@ -163,6 +165,38 @@ class TestRanks:
             modp_rank(columns, 4)
 
 
+class TestIsPrime:
+    def test_matches_trial_division_below_1e5(self):
+        def trial_division(p):
+            return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+        assert [p for p in range(-2, 100_000) if is_prime(p)] == [
+            p for p in range(-2, 100_000) if trial_division(p)
+        ]
+
+    @pytest.mark.parametrize(
+        # Strong pseudoprimes to the bases 2..7 and 2..23; Carmichael numbers.
+        "n",
+        [3215031751, 3825123056546413051, 561, 41041],
+    )
+    def test_rejects_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 10**18 + 3, 2**31 - 1])
+    def test_large_primes(self, p):
+        assert is_prime(p)
+        assert not is_prime(p * 3)
+
+    @pytest.mark.parametrize("p", [MR_BOUND, MR_BOUND + 2, 2**89 - 1])
+    def test_refuses_at_or_above_the_proven_bound(self, p):
+        # MR_BOUND itself is a strong pseudoprime to all 13 bases.
+        with pytest.raises(ValueError, match=str(MR_BOUND)):
+            is_prime(p)
+
+    def test_largest_supported_modulus_has_a_field(self):
+        assert modp_rank([{0: 1, 1: 2}, {0: 2, 1: 4}], 2**61 - 1) == {0}
+
+
 class TestSmith:
     @pytest.mark.parametrize(
         "rows,expected",
@@ -188,6 +222,24 @@ class TestSmith:
     def test_divisibility_chain(self, rows):
         factors = smith_invariant_factors(as_columns(rows))
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+    def test_stored_unit_pivot_is_built_only_for_a_non_unit_column(self):
+        # Face masks whose lowest rows, read off the mask (the face minus its
+        # top vertex), are 0, 0 and 3.  The second column reduces to a pivot
+        # of -2 at row 1 with an entry in row 3, whose face is still stored.
+        columns = {0b1: {0: 1, 1: 1}, 0b10: {0: 1, 1: -1, 3: 1}, 0b111: {3: 1}}
+        built = []
+
+        def build(face):
+            built.append(face)
+            return dict(columns[face])
+
+        assert smith_invariant_factors(list(columns), build) == [1, 1, 2]
+        assert built == [0b10, 0b1, 0b111]
+        assert smith_invariant_factors(columns.values()) == [1, 1, 2]
+        built.clear()
+        assert gf2_rank([0b1, 0b111], lambda face: set(build(face))) == {0, 3}
+        assert built == []
 
     def test_random_unimodular_conjugates_keep_factors(self):
         rng = random.Random(11)
