@@ -17,7 +17,7 @@ from .graphs import Graph, delete_vertices
 
 # Peak memory per face, with headroom.  Peak RSS over faces, interpreter
 # included, from face lists through elimination (CPython 3.11, x86-64) on fold
-# residuals: 163 B Γ(6,6), 181 B a(7) over GF(2); 250 B Γ(5,6) over Z.
+# residuals: 163 B Γ(6,6), 181 B a(7) over GF(2); 222 B Γ(5,6) over Z.
 BYTES_PER_FACE = 512
 
 

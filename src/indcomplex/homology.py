@@ -11,11 +11,13 @@ builder for its column (sparse {row: ±1}, a row being a facet's mask, or the
 row set alone over GF(2)); only ranks and torsion are kept, so no whole
 boundary matrix is ever held.  The elimination reads a column's lowest row,
 the face minus its top vertex, off the face mask, and builds the column only
-when that row is already taken or when the column reduces another.  Over a
-field the boundaries are reduced from the top dimension down with clearing:
-a d-face that is a pivot row of the (d+1)-boundary has a d-boundary column
+when that row is already taken or when the column reduces another.  Every
+ring reduces the boundaries from the top dimension down with clearing: a
+d-face that is a pivot row of the (d+1)-boundary has a d-boundary column
 that reduces to zero, so it is never passed at all (Chen and Kerber,
-"Persistent homology computation with a twist", 2011).  Columns run in
+"Persistent homology computation with a twist", 2011).  Over Z a column
+that is only rationally dependent could still matter to the lattice, so
+only unit pivot rows are cleared (see `_homology`).  Columns run in
 descending mask order and pivots are lowest rows: any order gives the same
 ranks, but on the Γ(4,6) residual mixed directions take 6 to 7 times the
 integer steps.
@@ -115,38 +117,51 @@ def _field_prime(coeff: str) -> int | None:
     return int(match[1])
 
 
-def betti_over_field(g: Graph, p: int) -> BettiProfile:
-    """Reduced Betti numbers of I(g) over GF(p), without fold reduction."""
-    if not linalg.is_prime(p):
-        raise ValueError(f"GF({p}) is not a field: {p} is not prime")
+def _homology(g: Graph, p: int) -> BettiProfile:
+    """Reduced homology of I(g) over GF(p), or over Z with torsion when p = 0.
+
+    The boundaries are reduced from the top dimension down, and the d-faces
+    that are pivot rows of the (d+1)-boundary are cleared (never passed).
+    Over Z only unit pivot rows are cleared, which keeps the column lattice
+    of the d-boundary, so its rank and Smith factors too.  Proof: let z_1 ..
+    z_m be the reduced (d+1)-pivot columns whose pivot entry is +-1 (a stored
+    face mask counts), with pivot rows s_1 .. s_m.  Each z_i is an integer
+    combination of (d+1)-boundary columns, so d(z_i) = 0.  The matrix
+    (z_i[s_j]) is triangular with +-1 on the diagonal, as s_i is the lowest
+    row of z_i, so it is unimodular; hence each cleared column d(s_j) is an
+    integer combination of the columns d(t) of uncleared faces t.  A
+    non-unit pivot row is never cleared: it is keyed ~r < 0, never a face.
+    """
     faces = faces_by_dimension(g)
     ranks: dict[int, int] = {}
+    torsion: list[tuple[int, int]] = []
     # Pivot rows of the boundary one dimension up: the d-faces to clear.
-    pivots: set[int] = set()
+    pivots: set[int] | dict[int, int] = set()
     for d in range(max(faces), -1, -1):
         columns = filterfalse(pivots.__contains__, faces[d])
         if p == 2:
             pivots = linalg.gf2_rank(columns, _facets)
-        else:
+        elif p:
             pivots = linalg.modp_rank(columns, p, _signed_facets)
+        else:
+            pivots = linalg.smith_invariant_factors(columns, _signed_facets)
+            # Non-unit factors of the d-boundary are torsion in dimension d - 1.
+            torsion[:0] = [(d - 1, f) for f in pivots.values() if f != 1]
         ranks[d] = len(pivots)
-    return BettiProfile(_betti_from_ranks(faces, ranks), (), f"gf{p}")
+    coeff = f"gf{p}" if p else "int"
+    return BettiProfile(_betti_from_ranks(faces, ranks), tuple(torsion), coeff)
+
+
+def betti_over_field(g: Graph, p: int) -> BettiProfile:
+    """Reduced Betti numbers of I(g) over GF(p), without fold reduction."""
+    if not linalg.is_prime(p):
+        raise ValueError(f"GF({p}) is not a field: {p} is not prime")
+    return _homology(g, p)
 
 
 def integral_homology(g: Graph) -> BettiProfile:
     """Reduced integral homology: Betti numbers plus torsion invariant factors."""
-    faces = faces_by_dimension(g)
-    ranks: dict[int, int] = {}
-    torsion: list[tuple[int, int]] = []
-    # No clearing over Z: a cleared column is only rationally dependent on
-    # the others, so skipping it can shrink the column lattice and report
-    # torsion that is not there.
-    for d in range(max(faces) + 1):
-        factors = linalg.smith_invariant_factors(faces[d], _signed_facets)
-        ranks[d] = len(factors)
-        # Non-unit factors of the d-boundary are torsion in dimension d - 1.
-        torsion.extend((d - 1, f) for f in factors if f != 1)
-    return BettiProfile(_betti_from_ranks(faces, ranks), tuple(torsion), "int")
+    return _homology(g, 0)
 
 
 def betti_of_graph(g: Graph, coeff: str = "gf2") -> BettiProfile:

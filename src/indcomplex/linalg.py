@@ -12,10 +12,12 @@ one ring-specific step clears it against the owner:
   pivot when its entry divides the column's, and otherwise replaces both by
   extended-gcd combinations (unimodular, so the column lattice is kept).
 
-The field reductions return their pivot rows, which a caller can use to
-clear (skip) columns of the next boundary down that are known to reduce to
-zero.  The integer echelon also certifies a torsion-free cokernel whenever
-every pivot ends up at +-1.
+Every reduction returns its pivot rows, which a caller uses to clear (skip)
+columns of the next boundary down: the field reductions as a set, the Smith
+reduction as a dict of invariant factors whose keys >= 0 are its unit pivot
+rows.  Over Z only those may be cleared (see `homology._homology`).  The
+integer echelon also certifies a torsion-free cokernel whenever every pivot
+ends up at +-1.
 
 A boundary column need not be built to be placed.  Given face masks and a
 per-face `build`, the loop reads a face's lowest row off its mask, the face
@@ -186,25 +188,25 @@ def integer_column_echelon(
 
 def smith_invariant_factors(
     columns: Iterable, build: Callable[[int], dict[int, int]] | None = None
-) -> list[int]:
-    """Nontrivial part of the Smith normal form of the column lattice, its
-    columns given as sparse columns (row -> int) or as face masks whose +-1
-    columns `build` makes (see `_eliminate`).
+) -> dict[int, int]:
+    """Nontrivial Smith normal form of the column lattice, its columns given
+    as sparse columns (row >= 0 -> int) or as face masks whose +-1 columns
+    `build` makes (see `_eliminate`): one positive factor per pivot.
 
-    Returns the invariant factors d_1 | d_2 | ... | d_r (r = rank, all
-    positive).  The cokernel of the matrix is torsion-free iff all factors
-    are 1.  Each pivot column with a unit pivot contributes a factor 1; the
-    other pivot columns are cleared at the unit pivot rows and finished by a
-    small dense Smith reduction.
+    Each unit pivot's row maps to 1.  The other pivot columns are cleared at
+    the unit pivot rows and finished by a small dense Smith reduction, whose
+    diagonal goes, in divisibility order, under the keys ~r < 0 of their
+    pivot rows r.  So the values, in order, are the invariant factors
+    d_1 | d_2 | ... | d_rank, and the cokernel is torsion-free iff all are 1.
     """
     pivots = _eliminate(columns, _z_step, build) if build else integer_column_echelon(columns)
     # A stored face mask is an unbuilt boundary column: its pivot is +-1.
     units = {r: col for r, col in pivots.items() if type(col) is int or abs(col[r]) == 1}
-    rest = [col for r, col in sorted(pivots.items()) if r not in units]
+    rest = {r: col for r, col in sorted(pivots.items()) if r not in units}
     # A unit column has no row below its pivot, so clearing rows lowest
     # first only adds entries in rows still to come.
     unit_rows = sorted(units)
-    for j, col in enumerate(rest):
+    for j, col in rest.items():
         for r in unit_rows:
             if v := col.get(r):
                 unit = units[r]
@@ -212,81 +214,43 @@ def smith_invariant_factors(
                     unit = units[r] = build(unit)
                 col = _combine(1, col, -v * unit[r], unit)
         rest[j] = col
-    dense_rows = sorted({k for col in rest for k in col})
-    row_pos = {r: i for i, r in enumerate(dense_rows)}
-    mat = [[0] * len(rest) for _ in dense_rows]
-    for j, col in enumerate(rest):
-        for r, v in col.items():
-            mat[row_pos[r]][j] = v
-    return [1] * len(units) + _dense_smith_diagonal(mat)
+    # One dense row per column: the transpose has the same Smith form.
+    rows = sorted({r for col in rest.values() for r in col})
+    diagonal = _dense_smith_diagonal([[col.get(r, 0) for r in rows] for col in rest.values()])
+    factors = dict.fromkeys(units, 1)
+    factors.update(zip([~r for r in rest], diagonal))
+    return factors
 
 
 def _dense_smith_diagonal(mat: list[list[int]]) -> list[int]:
     """Classical Smith reduction of a dense integer matrix.
 
-    Returns the positive diagonal entries in divisibility order.
+    Returns the positive diagonal entries in divisibility order.  Each pass
+    moves an entry of least absolute value to the corner and reduces its row
+    and column by it; a nonzero remainder, or an entry it does not divide
+    (whose row is added to the corner's), is smaller than the corner or
+    leaves one that is, so passes end.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
     diag: list[int] = []
-    t = 0
-    while t < min(m, n):
-        # Find a nonzero entry of minimal absolute value in the submatrix.
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = mat[i][j]
-                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        mat[t], mat[bi] = mat[bi], mat[t]
+    while entries := [(abs(v), i, j) for i, row in enumerate(mat) for j, v in enumerate(row) if v]:
+        _, i, j = min(entries)
+        mat[0], mat[i] = mat[i], mat[0]
         for row in mat:
-            row[t], row[bj] = row[bj], row[t]
-
-        # Eliminate row/column t; restart whenever a smaller remainder appears.
-        while True:
-            pivot = mat[t][t]
-            restart = False
-            for i in range(t + 1, m):
-                if mat[i][t]:
-                    q = mat[i][t] // pivot
-                    for j in range(t, n):
-                        mat[i][j] -= q * mat[t][j]
-                    if mat[i][t]:
-                        mat[t], mat[i] = mat[i], mat[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if mat[t][j]:
-                    q = mat[t][j] // pivot
-                    for i in range(t, m):
-                        mat[i][j] -= q * mat[i][t]
-                    if mat[t][j]:
-                        for i in range(t, m):
-                            mat[i][t], mat[i][j] = mat[i][j], mat[i][t]
-                        restart = True
-                        break
-            if not restart:
-                break
-
-        # Enforce divisibility: pivot must divide every remaining entry.
-        pivot = mat[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if mat[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, n):
-                mat[t][j] += mat[offender][j]
+            row[0], row[j] = row[j], row[0]
+        corner = mat[0][0]
+        for row in mat[1:]:
+            q = row[0] // corner
+            row[:] = [v - q * c for v, c in zip(row, mat[0])]
+        for k in range(1, len(mat[0])):
+            q = mat[0][k] // corner
+            for row in mat:
+                row[k] -= q * row[0]
+        if any(row[0] for row in mat[1:]) or any(mat[0][1:]):
             continue
-        diag.append(abs(pivot))
-        t += 1
+        offender = next((row for row in mat[1:] if any(v % corner for v in row)), None)
+        if offender is not None:
+            mat[0] = [a + b for a, b in zip(mat[0], offender)]
+            continue
+        diag.append(abs(corner))
+        mat = [row[1:] for row in mat[1:]]
     return diag

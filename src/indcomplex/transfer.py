@@ -29,8 +29,11 @@ grow without bound.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
+from typing import Iterator
 
 from .faces import address_space
 
@@ -207,50 +210,66 @@ def _recurrence(seq: list[int], order: int) -> list[int] | None:
     return coeffs
 
 
-def euler_sweep(k: int, max_n: int) -> list[int]:
-    """chi(I(Gamma_{n,k})) for n = 1..max_n, in one incremental sweep.
+def _chi_terms(k: int) -> Iterator[int]:
+    """chi(I(Gamma_{n,k})) for n = 1, 2, ... without end, holding O(L) terms.
 
     The model is stepped column by column until 2L terms are held, L =
     #states + 1.  Then, if more are asked for, `_recurrence` proves the
     minimal recurrence of those terms (chi satisfies (x - 1) * charpoly(M) of
     degree L, so an exact check on 2L terms holds for all n) and the rest come
-    from it; if it finds none, stepping goes on.
+    from its last e terms alone; if it finds none, stepping goes on.  Nothing
+    is computed before it is asked for.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
     model = build_transfer_model(k)
     order = len(model.states) + 1
     vec = model.initial()
-    out = [1 - sum(vec)]
-    while len(out) < max_n:
-        if len(out) == 2 * order:
-            coeffs = _recurrence(out, order)
-            if coeffs is not None:
-                terms = [(i, a) for i, a in enumerate(coeffs, 1) if a]
-                for n in range(len(out), max_n):
-                    out.append(sum([a * out[n - i] for i, a in terms]))
+    held: list[int] = []
+    while True:
+        chi = 1 - sum(vec)
+        yield chi
+        if len(held) < 2 * order:
+            held.append(chi)
+            if len(held) == 2 * order and (coeffs := _recurrence(held, order)) is not None:
                 break
         vec = model.step(vec)
-        out.append(1 - sum(vec))
-    return out
+    terms = [(i, a) for i, a in enumerate(coeffs, 1) if a]
+    last = deque(held[-len(coeffs) :], len(coeffs))
+    while True:
+        chi = 0
+        for i, a in terms:
+            chi += a * last[-i]
+        last.append(chi)
+        yield chi
+
+
+def euler_sweep(k: int, max_n: int) -> list[int]:
+    """chi(I(Gamma_{n,k})) for n = 1..max_n, in one incremental sweep (see `_chi_terms`)."""
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    return list(islice(_chi_terms(k), max_n))
 
 
 def euler_chi(n: int, k: int) -> int:
-    """Unreduced Euler characteristic of I(Gamma_{n,k})."""
+    """Unreduced Euler characteristic of I(Gamma_{n,k}), in O(#states) memory."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return euler_sweep(k, n)[-1]
+    return next(islice(_chi_terms(k), n - 1, None))
 
 
 def period_detect(k: int, max_n: int) -> int | None:
-    """Smallest p with chi(n + p) = chi(n) across the whole window [1, max_n].
+    """The least period p <= max_n of n -> chi(I(Gamma_{n,k})), proven, or None.
 
-    Only periods p <= max_n // 4 are considered, so a reported period is
-    confirmed over at least four repetitions.  This verifies periodicity
-    empirically on the window; it does not prove it.
+    chi satisfies a monic integer recurrence of degree L = #states + 1, and
+    so does w(n) = chi(n + p) - chi(n), as shifts commute; w is zero once L
+    consecutive terms are (see `_recurrence`).  So chi(n + p) = chi(n) for
+    n = 1..L proves period p for every n.
     """
-    values = euler_sweep(k, max_n)
-    for p in range(1, max_n // 4 + 1):
-        if all(values[i] == values[i + p] for i in range(max_n - p)):
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    order = len(build_transfer_model(k).states) + 1
+    values = euler_sweep(k, max_n + order)
+    head = values[:order]
+    for p in range(1, max_n + 1):
+        if values[p : p + order] == head:
             return p
     return None

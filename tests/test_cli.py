@@ -131,6 +131,16 @@ class TestHomology:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["reduced_betti"] == {"9": 2}
 
+    @pytest.mark.deep
+    def test_gamma6_integral_under_1gib_address_space(self):
+        # Γ(6,6) fold-reduces to 1.89 M faces; Z clears at its unit pivots,
+        # so it passes as few columns as GF(2).
+        args = ["homology", "--family", "gamma", "--n", "6", "--coeff", "int"]
+        proc = run_capped(["-m", "indcomplex.cli", *args], 1 << 30)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["reduced_betti"], report["torsion"]) == ({"8": 3}, [])
+
     def test_gamma_takes_k(self, capsys):
         code, out, _ = run(capsys, "homology", "--family", "gamma", "--n", "3", "--k", "4")
         assert code == EXIT_OK

@@ -85,32 +85,40 @@ class TestBettiOverField:
     def test_single_vertex_contractible(self):
         assert betti_over_field(build_gamma(1, 1), 2).reduced_betti == {}
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 0])
     def test_clearing_matches_uncleared_ranks(self, rng, p):
-        # Oracle: every boundary's full rank, each computed on its own.
-        for _ in range(25):
-            g = random_grid_subgraph(rng, max_n=3, max_vertices=14)
+        # Oracle: every boundary's full rank, each computed on its own; over
+        # Z (p = 0) its Smith factors, whose non-units are torsion one down.
+        for g in [flag_rp2()] + [
+            random_grid_subgraph(rng, max_n=3, max_vertices=14) for _ in range(25)
+        ]:
             faces = faces_by_dimension(g)
-            ranks = {
-                d: len(
-                    linalg.gf2_rank([_facets(face) for face in faces[d]])
-                    if p == 2
-                    else linalg.modp_rank([_signed_facets(face) for face in faces[d]], p)
-                )
-                for d in range(max(faces) + 1)
-            }
+            ranks, torsion = {}, []
+            for d in range(max(faces) + 1):
+                if p == 2:
+                    pivots = linalg.gf2_rank([_facets(face) for face in faces[d]])
+                elif p:
+                    pivots = linalg.modp_rank([_signed_facets(face) for face in faces[d]], p)
+                else:
+                    pivots = linalg.smith_invariant_factors(
+                        [_signed_facets(face) for face in faces[d]]
+                    )
+                    torsion += [(d - 1, f) for f in pivots.values() if f != 1]
+                ranks[d] = len(pivots)
             expected = {}
             for d, group in faces.items():
                 b = len(group) - ranks.get(d, 0) - ranks.get(d + 1, 0)
                 if b:
                     expected[d] = b
-            assert betti_over_field(g, p).reduced_betti == expected
+            profile = betti_over_field(g, p) if p else integral_homology(g)
+            assert (profile.reduced_betti, profile.torsion) == (expected, tuple(torsion))
 
     def test_cleared_faces_are_skipped(self, rng, monkeypatch):
         # Each elimination gets the d-faces that are not pivot rows of the
-        # (d+1)-boundary, in face order, and nothing else.
+        # (d+1)-boundary, in face order, and nothing else; over Z (p = 0)
+        # only unit pivot rows, the keys >= 0 of the Smith factors, clear.
         calls = []
-        for name in ("gf2_rank", "modp_rank"):
+        for name in ("gf2_rank", "modp_rank", "smith_invariant_factors"):
 
             def spy(columns, *args, _rank=getattr(linalg, name)):
                 columns = list(columns)
@@ -119,20 +127,22 @@ class TestBettiOverField:
                 return pivots
 
             monkeypatch.setattr(linalg, name, spy)
-        skipped = 0
-        for p in (2, 3):
+        skipped = {}
+        for p in (2, 3, 0):
             for _ in range(10):
                 g = random_grid_subgraph(rng, max_n=3, max_vertices=12)
                 faces = faces_by_dimension(g)
                 calls.clear()
-                betti_over_field(g, p)
+                betti_over_field(g, p) if p else integral_homology(g)
                 assert len(calls) == max(faces) + 1
                 cleared = set()
                 for d, (columns, pivots) in zip(range(max(faces), -1, -1), calls):
                     assert columns == [face for face in faces[d] if face not in cleared]
-                    skipped += len(faces[d]) - len(columns)
-                    cleared = pivots
-        assert skipped > 0
+                    skipped[p] = skipped.get(p, 0) + len(faces[d]) - len(columns)
+                    cleared = {r for r in pivots if r >= 0}
+                    if not p:
+                        assert all(pivots[r] == 1 for r in cleared)
+        assert min(skipped.values()) > 0
 
     def test_gf2_equals_gf3_small(self):
         for kind in ("x", "y", "a", "b"):
@@ -169,7 +179,8 @@ class TestIntegralHomology:
 
     def test_non_unit_pivots_keep_the_dense_block_small(self, monkeypatch):
         # RP^2 joined with I(Γ(2,6)) = S^2 has 43,498 faces and one non-unit
-        # pivot; only that pivot's column may reach the dense Smith step.
+        # pivot; only that pivot's column may reach the dense Smith step.  The
+        # same holds for RP^2 joined with itself, with torsion in two dimensions.
         dense = linalg._dense_smith_diagonal
 
         def small_only(mat):
@@ -181,10 +192,13 @@ class TestIntegralHomology:
         profile = integral_homology(disjoint_union(flag_rp2(), build_gamma(2, 6)))
         assert profile.torsion == ((4, 2),)
         assert profile.reduced_betti == {}
+        profile = integral_homology(disjoint_union(flag_rp2(), flag_rp2()))
+        assert profile.torsion == ((3, 2), (4, 2))
+        assert profile.reduced_betti == {}
 
-    @pytest.mark.deep
     def test_gamma_5x6_integral(self):
-        # The 26-vertex residual has 162,401 faces; Smith reduction handles it.
+        # The 26-vertex residual has 162,401 faces; with clearing at the unit
+        # pivots Z passes the same 81,201 columns as GF(2).
         profile = betti_of_family(Family("gamma", 5), coeff="int")
         assert profile.reduced_betti == {7: 1}
         assert profile.torsion == ()
@@ -206,7 +220,7 @@ def test_columns_and_pivots_run_the_same_way(monkeypatch):
     assert betti_over_field(residual, 2).reduced_betti == {5: 3}
     assert integral_homology(residual).reduced_betti == {5: 3}
     assert calls["_gf2_step"] <= 1_796
-    assert calls["_z_step"] <= 34_515
+    assert calls["_z_step"] <= 1_796
 
 
 @pytest.mark.parametrize("n,betti,most", [(4, {5: 3}, 2_655), (5, {7: 1}, 38_968)])
@@ -251,8 +265,8 @@ def test_eliminations_take_their_columns_first(monkeypatch):
     betti_over_field(residual, 2)
     betti_over_field(residual, 3)
     integral_homology(residual)
-    # The Z path has no clearing: it takes every face of dimension >= 0.
-    assert fed == {"gf2_rank": 5_455, "modp_rank": 5_455, "smith_invariant_factors": 10_906}
+    # Every pivot of the residual is a unit, so Z clears as the fields do.
+    assert fed == {"gf2_rank": 5_455, "modp_rank": 5_455, "smith_invariant_factors": 5_455}
 
 
 class TestLazyColumns:

@@ -210,17 +210,24 @@ class TestSmith:
         ],
     )
     def test_known_matrices(self, rows, expected):
-        assert smith_invariant_factors(as_columns(rows)) == expected
+        assert list(smith_invariant_factors(as_columns(rows)).values()) == expected
 
     @given(small_matrix)
     @settings(max_examples=120, deadline=None)
     def test_matches_minor_gcd_oracle(self, rows):
-        assert smith_invariant_factors(as_columns(rows)) == invariant_factors_oracle(rows)
+        factors = smith_invariant_factors(as_columns(rows))
+        assert list(factors.values()) == invariant_factors_oracle(rows)
+        # Unit pivot rows map to 1; every other pivot row r is keyed ~r.
+        pivots = integer_column_echelon(as_columns(rows))
+        units = {r for r, col in pivots.items() if abs(col[r]) == 1}
+        assert {r for r in factors if r >= 0} == units
+        assert all(factors[r] == 1 for r in units)
+        assert {~r for r in factors if r < 0} == set(pivots) - units
 
     @given(small_matrix)
     @settings(max_examples=60, deadline=None)
     def test_divisibility_chain(self, rows):
-        factors = smith_invariant_factors(as_columns(rows))
+        factors = list(smith_invariant_factors(as_columns(rows)).values())
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
     def test_stored_unit_pivot_is_built_only_for_a_non_unit_column(self):
@@ -234,9 +241,9 @@ class TestSmith:
             built.append(face)
             return dict(columns[face])
 
-        assert smith_invariant_factors(list(columns), build) == [1, 1, 2]
+        assert list(smith_invariant_factors(list(columns), build).values()) == [1, 1, 2]
         assert built == [0b10, 0b1, 0b111]
-        assert smith_invariant_factors(columns.values()) == [1, 1, 2]
+        assert list(smith_invariant_factors(columns.values()).values()) == [1, 1, 2]
         built.clear()
         assert gf2_rank([0b1, 0b111], lambda face: set(build(face))) == {0, 3}
         assert built == []
@@ -260,4 +267,4 @@ class TestSmith:
             else:
                 for row in mat:
                     row[i], row[j] = row[j], row[i]
-        assert smith_invariant_factors(as_columns(mat)) == expected
+        assert list(smith_invariant_factors(as_columns(mat)).values()) == expected

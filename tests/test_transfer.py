@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,18 @@ class TestEulerChi:
         with pytest.raises(ValueError):
             euler_sweep(6, 0)
 
+    def test_point_query_holds_only_the_recurrence_window(self):
+        # A list of 10^6 terms alone takes 8 MB.
+        build_transfer_model(6)
+        tracemalloc.start()
+        try:
+            chi = euler_chi(10**6, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chi == expected_f6(10**6)
+        assert peak < 1 << 20
+
     @given(st.integers(1, 60))
     @settings(max_examples=25, deadline=None)
     def test_period_28_extends(self, n):
@@ -190,6 +203,11 @@ class TestPeriodDetect:
     )
     def test_known_periods(self, k, expected):
         assert period_detect(k, 4 * expected + 8) == expected
+
+    @pytest.mark.parametrize("k,expected", [(9, 3_640), (11, 20_944)])
+    def test_periods_longer_than_a_quarter_of_the_bound(self, k, expected):
+        assert period_detect(k, expected) == expected
+        assert period_detect(k, expected - 1) is None
 
     def test_window_too_small_returns_none(self):
         assert period_detect(6, 27) is None
