@@ -8,9 +8,13 @@ Three unconditional moves are applied exhaustively, in priority order:
   homotopy type of the independence complex.
 
 The scan order is fixed (lowest indices first) so the trace is a pure
-function of the input graph.  A move only clears bits of one vertex mask
-over the input graph's neighbor masks, so no graph is rebuilt while
-reducing; the residual graph is built once, from the final mask.
+function of the input graph.  No graph is rebuilt while reducing: the
+alive vertices are a mask over the input graph, and their alive neighbor
+masks, with masks of the degree-0 and degree-1 vertices, are kept up to
+date move by move; removing a vertex touches only its neighbors.  The fold
+scan resumes near the last fold instead of at vertex 0, so a move costs
+work near the vertex it removes, not a pass over the graph.  The residual
+graph is built once, from the final mask.
 """
 
 from __future__ import annotations
@@ -78,14 +82,24 @@ def find_fold(g: Graph, alive: int) -> tuple[int, int] | None:
     alive with N(v) contained in N(w), least by (w, v); indices are g's.
 
     Inclusion may be non-strict; equal neighborhoods (twins) are only
-    considered in the orientation that removes the larger index.  The only
-    candidates for v are the isolated vertices and the vertices at distance
-    2 from w: if u is in N(v) then u is in N(w), so v is in N(u).
+    considered in the orientation that removes the larger index.
     """
     masks = g.neighbor_masks
     nbrs = {v: masks[v] & alive for v in set_bits(alive)}
     isolated = sum(1 << v for v, mask in nbrs.items() if not mask)
-    for w, mw in nbrs.items():
+    return _first_fold(nbrs, alive, isolated)
+
+
+def _first_fold(nbrs: dict[int, int], ws: int, isolated: int) -> tuple[int, int] | None:
+    """First fold (v, w) with w in the mask ws, least by (w, v), where nbrs
+    maps each alive vertex to its alive neighbor mask and isolated masks the
+    alive vertices without one.
+
+    The only candidates for v are the isolated vertices and the vertices at
+    distance 2 from w: if u is in N(v) then u is in N(w), so v is in N(u).
+    """
+    for w in set_bits(ws):
+        mw = nbrs[w]
         near = isolated
         for u in set_bits(mw):
             near |= nbrs[u]
@@ -103,35 +117,63 @@ def reduce_graph(g: Graph) -> ReductionTrace:
     I(residual) suspended `suspensions` times is homotopy equivalent to
     I(g); if `contractible` is set the whole complex is contractible and
     reduction stopped at the cone move (the residual keeps the cone vertex).
-    The moves only clear bits of one vertex mask over g; the residual is
-    built from it once, at the end.
+
+    Each move costs work near the vertices it removes.  `nbrs` holds the
+    alive neighbor mask of every alive vertex, and `iso` and `deg1` mask the
+    alive vertices of degree 0 and 1; removing a vertex updates only its
+    neighbors' masks.  The cone vertex is the lowest bit of `iso`; the K2 strip
+    is the lowest a in `deg1` whose one neighbor b is in `deg1` too.
+
+    The fold scan resumes at p: no alive w < p has a fold.  A K2 strip
+    changes no other vertex's mask, so p stays.  A fold removing w changes
+    only the masks of the v' in the old N(w), so a fold (v', w') that is new
+    has v' in the old N(w) (an isolated v' makes the cone move first).  Then
+    N(v') is a nonempty part of N(w'), so w' is at distance 2 from v' and
+    within distance 3 of w.  So after the fold p becomes the smaller of w
+    and the least alive vertex within distance 3 of w.  The residual is
+    built once, at the end.
     """
-    masks = g.neighbor_masks
+    nbrs = dict(enumerate(g.neighbor_masks))
     everything = alive = (1 << len(g)) - 1
+    iso = sum(1 << v for v, mask in nbrs.items() if not mask)
+    deg1 = sum(1 << v for v, mask in nbrs.items() if mask.bit_count() == 1)
     moves: list[Move] = []
     suspensions = 0
     contractible = False
+    p = 0
     while alive:
-        nbrs = {v: masks[v] & alive for v in set_bits(alive)}
-        iso = next((v for v, mask in nbrs.items() if not mask), None)
-        if iso is not None:
-            moves.append(Cone(g.vertices[iso]))
+        if iso:
+            moves.append(Cone(g.vertices[(iso & -iso).bit_length() - 1]))
             contractible = True
             break
-        lone = {a: mask.bit_length() - 1 for a, mask in nbrs.items() if mask.bit_count() == 1}
-        k2 = next(((a, b) for a, b in lone.items() if lone.get(b) == a), None)
+        k2 = next((a for a in set_bits(deg1) if deg1 >> (nbrs[a].bit_length() - 1) & 1), None)
         if k2 is not None:
-            a, b = k2
+            a, b = k2, nbrs[k2].bit_length() - 1
             moves.append(StripK2(g.vertices[a], g.vertices[b]))
             suspensions += 1
+            del nbrs[a], nbrs[b]
             alive &= ~(1 << a | 1 << b)
+            deg1 &= alive
             continue
-        fold = find_fold(g, alive)
+        fold = _first_fold(nbrs, alive >> p << p, 0)
         if fold is None:
             break
         v, w = fold
         moves.append(Fold(g.vertices[v], g.vertices[w]))
         alive &= ~(1 << w)
+        deg1 &= alive
+        mw = nbrs.pop(w)
+        for u in set_bits(mw):
+            mask = nbrs[u] = nbrs[u] ^ 1 << w
+            if not mask:
+                iso |= 1 << u
+            elif not mask & (mask - 1):
+                deg1 |= 1 << u
+        ball = mw  # nonempty: an isolated w would have made the cone move
+        for _ in range(2):
+            for u in set_bits(ball):
+                ball |= nbrs[u]
+        p = min(w, (ball & -ball).bit_length() - 1)
     residual = g if alive == everything else delete_vertices(g, set_bits(everything ^ alive))
     return ReductionTrace(tuple(moves), suspensions, contractible, residual)
 

@@ -149,24 +149,27 @@ def build_gamma(n: int, k: int) -> Graph:
     """The n-by-k grid graph: nk vertices, edges at L1 distance 1."""
     if n < 1 or k < 1:
         raise GraphError(f"grid dimensions must be positive, got ({n}, {k})")
-    vertices = [(x, y) for x in range(1, n + 1) for y in range(1, k + 1)]
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for x, y in vertices:
-        for w in ((x + 1, y), (x, y + 1)):
-            if w in index:
-                edges.append((index[(x, y)], index[w]))
-    return Graph(vertices, edges, family=Family("gamma", n, k))
+    return _grid(n, k, Family("gamma", n, k), ())
 
 
 def build_family(f: Family) -> Graph:
     """Realize a Family as a graph (gamma, or gamma(n, 6) minus last-column vertices)."""
     if f.kind == "gamma":
         return build_gamma(f.n, f.k)
-    g = build_gamma(f.n, 6)
-    removed = [g.index((f.n, row)) for row in _FAMILY_REMOVED_ROWS[f.kind]]
-    trimmed = delete_vertices(g, removed)
-    return Graph(trimmed.vertices, trimmed.edges, family=f)
+    return _grid(f.n, 6, f, [(f.n, row) for row in _FAMILY_REMOVED_ROWS[f.kind]])
+
+
+def _grid(n: int, k: int, family: Family, removed: Iterable[Vertex]) -> Graph:
+    """The n-by-k grid minus the vertices removed, as one Graph tagged family."""
+    drop = set(removed)
+    vertices = [(x, y) for x in range(1, n + 1) for y in range(1, k + 1) if (x, y) not in drop]
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = []
+    for x, y in vertices:
+        for w in ((x + 1, y), (x, y + 1)):
+            if w in index:
+                edges.append((index[(x, y)], index[w]))
+    return Graph(vertices, edges, family=family)
 
 
 def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:

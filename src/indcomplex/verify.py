@@ -164,9 +164,10 @@ def verify_fold_soundness(
     started = time.perf_counter()
     report = VerificationReport("fold_soundness")
     rng = random.Random(seed)
+    hosts = {n: build_gamma(n, 6) for n in range(1, 5)}
     for i in range(samples):
         n = rng.randint(1, 4)
-        g = build_gamma(n, 6)
+        g = hosts[n]
         size = rng.randint(0, min(max_vertices, len(g)))
         keep = sorted(rng.sample(range(len(g)), size))
         sub = delete_vertices(g, set(range(len(g))) - set(keep))

@@ -297,6 +297,24 @@ class TestReduce:
         assert payload["residual"]["vertices"] == []
         assert all(m["kind"] in ("fold", "cone", "strip_k2") for m in payload["moves"])
 
+    def test_long_input_on_stdin(self):
+        g = build_family(Family("x", 120))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "indcomplex.cli", "reduce"],
+            input=json.dumps(graph_to_json_dict(g)),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK
+        payload = json.loads(proc.stdout)
+        assert len(payload["moves"]) == 537
+        assert payload["contractible"] is False
+        assert payload["residual"]["vertices"] == []
+        assert payload["residual"]["edges"] == []
+
     @pytest.mark.parametrize(
         "data",
         [

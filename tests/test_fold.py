@@ -173,7 +173,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_families(self, kind):
-        for n in range(1, 13):
+        for n in range(1, 17):
             self.check(build_family(Family(kind, n)))
 
     def test_gamma_n_by_k(self):
@@ -186,9 +186,25 @@ class TestAgainstReference:
         for _ in range(240):
             self.check(random_grid_subgraph(rng, max_n=8, max_vertices=40))
 
-    @pytest.mark.parametrize("kind, moves", [("x", 267), ("y", 268)])
-    def test_closed_at_60(self, kind, moves):
-        f = Family(kind, 60)
+    def test_long_random_grid_subgraphs(self):
+        # Longer traces: more folds per graph, so more resumes of the scan.
+        rng = random.Random(4111)
+        for _ in range(200):
+            self.check(random_grid_subgraph(rng, max_n=12, max_vertices=72))
+
+    @pytest.mark.parametrize(
+        "kind, n, moves",
+        [
+            ("x", 60, 267),
+            ("y", 60, 268),
+            ("x", 120, 537),
+            ("y", 120, 538),
+            ("x", 240, 1077),
+            ("y", 240, 1078),
+        ],
+    )
+    def test_closed(self, kind, n, moves):
+        f = Family(kind, n)
         trace = reduce_graph(build_family(f))
         assert len(trace.moves) == moves
         assert len(trace.residual) == 0
