@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--family", choices=FAMILY_KINDS, default="gamma")
     p_predict.set_defaults(func=_cmd_predict)
 
-    p_hom = sub.add_parser("homology", help="fold-reduced homology of a family graph")
+    p_hom = sub.add_parser("homology", help="homology of a family graph (fold, split, enumerate)")
     p_hom.add_argument("--family", choices=FAMILY_KINDS, required=True)
     p_hom.add_argument("--n", type=int, required=True)
     p_hom.add_argument("--k", type=int, help="rows of the gamma grid (default: 6)")

@@ -12,9 +12,18 @@ function of the input graph.  No graph is rebuilt while reducing: the
 alive vertices are a mask over the input graph, and their alive neighbor
 masks, with masks of the degree-0 and degree-1 vertices, are kept up to
 date move by move; removing a vertex touches only its neighbors.  The fold
-scan resumes near the last fold instead of at vertex 0, so a move costs
-work near the vertex it removes, not a pass over the graph.  The residual
-graph is built once, from the final mask.
+scan covers only a window, the vertices that may still have a fold: after a
+fold at w, what is left of the window above w plus the vertices two steps
+from a neighbor of w; so a move costs work near the vertex it removes, not
+a pass over the graph.  The residual graph is built once, from the final mask.
+
+`reduce_with_splits` adds two moves that split I(G) = I(G - v) u cone
+I(G - N[v]) (Adamaszek, "Splittings of independence complexes and the
+powers of cycles", JCTA 2012): when the fold takes G - N[v] to a cone, v is
+deleted (LinkCone), and when it takes G - v to a cone, N[v] is deleted and
+the complex suspended (DeletionCone).  Each such test is the same fold loop,
+started from the fold-stuck graph with the window around the deleted
+vertices, and it stops at the first cone.
 """
 
 from __future__ import annotations
@@ -58,7 +67,28 @@ class StripK2:
         return {"kind": "strip_k2", "a": list(self.a), "b": list(self.b)}
 
 
-Move = Union[Fold, Cone, StripK2]
+@dataclass(frozen=True)
+class LinkCone:
+    """I(G - N[v]) folded to a cone, so I(G) ~ I(G - v): v was deleted."""
+
+    v: Vertex
+
+    def to_json_dict(self) -> dict:
+        return {"kind": "link_cone", "v": list(self.v)}
+
+
+@dataclass(frozen=True)
+class DeletionCone:
+    """I(G - v) folded to a cone, so I(G) ~ S I(G - N[v]): N[v] was deleted,
+    and the complex suspended once."""
+
+    v: Vertex
+
+    def to_json_dict(self) -> dict:
+        return {"kind": "deletion_cone", "v": list(self.v)}
+
+
+Move = Union[Fold, Cone, StripK2, LinkCone, DeletionCone]
 
 
 @dataclass(frozen=True)
@@ -111,6 +141,106 @@ def _first_fold(nbrs: dict[int, int], ws: int, isolated: int) -> tuple[int, int]
     return None
 
 
+class _Alive:
+    """An induced subgraph of the graph host, kept up to date move by move.
+
+    `alive` masks its vertices, `nbrs` maps each of them to its alive
+    neighbor mask, and `iso` and `deg1` mask the alive vertices of degree 0
+    and 1 (`deg1` may keep a vertex that has since become isolated).
+    Removing a vertex updates only its neighbors' masks.
+    """
+
+    __slots__ = ("host", "nbrs", "alive", "iso", "deg1")
+
+    def __init__(self, host: Graph, nbrs: dict[int, int], alive: int, iso: int, deg1: int):
+        self.host, self.nbrs, self.alive, self.iso, self.deg1 = host, nbrs, alive, iso, deg1
+
+    @classmethod
+    def of(cls, g: Graph) -> "_Alive":
+        nbrs = dict(enumerate(g.neighbor_masks))
+        iso = sum(1 << v for v, mask in nbrs.items() if not mask)
+        deg1 = sum(1 << v for v, mask in nbrs.items() if mask.bit_count() == 1)
+        return cls(g, nbrs, (1 << len(g)) - 1, iso, deg1)
+
+    def copy(self) -> "_Alive":
+        return _Alive(self.host, dict(self.nbrs), self.alive, self.iso, self.deg1)
+
+    def residual(self) -> Graph:
+        everything = (1 << len(self.host)) - 1
+        if self.alive == everything:
+            return self.host
+        return delete_vertices(self.host, set_bits(everything ^ self.alive))
+
+    def remove(self, gone: int) -> int:
+        """Delete the vertices of the mask gone, all alive.  Returns the
+        vertices that share a neighbor with one that lost a neighbor, in the
+        graph after the deletion: the w of every fold (v, w) it created."""
+        nbrs = self.nbrs
+        alive = self.alive = self.alive & ~gone
+        touched = 0
+        for x in set_bits(gone):
+            touched |= nbrs.pop(x)
+        touched &= alive
+        for u in set_bits(touched):
+            mask = nbrs[u] = nbrs[u] & alive
+            if not mask:
+                self.iso |= 1 << u
+            elif not mask & (mask - 1):
+                self.deg1 |= 1 << u
+        self.deg1 &= alive
+        ring = ball = 0
+        for u in set_bits(touched):
+            ring |= nbrs[u]
+        for u in set_bits(ring):
+            ball |= nbrs[u]
+        return ball
+
+    def reduce(self, window: int, moves: list[Move]) -> tuple[int, bool]:
+        """Apply cone, K2-strip and fold moves, appending each to moves, until
+        none applies or a cone does; returns (suspensions, cone reached).
+
+        The fold scan covers only the mask window, which must hold the w of
+        every fold (v, w): every alive vertex from scratch, or, when `remove`
+        has just deleted vertices from a fold-stuck subgraph, the mask it
+        returned.  A K2 strip changes no other vertex's mask, so the window
+        stays.  Deleting vertices changes only the masks of the v' that lost a
+        neighbor, so a fold (v', w') that is new has such a v' (a fold-stuck
+        graph has no twins, and an isolated v' makes the cone move first).
+        Then N(v') is a nonempty part of N(w'), so w' shares a neighbor with
+        v' and is in the mask `remove` returns.  After a fold removing w, the
+        window loses every vertex up to w, where the scan found no fold, and
+        gains that mask.
+        """
+        vertices, nbrs = self.host.vertices, self.nbrs
+        suspensions = 0
+        while self.alive:
+            if self.iso:
+                moves.append(Cone(vertices[(self.iso & -self.iso).bit_length() - 1]))
+                return suspensions, True
+            deg1 = self.deg1
+            a = next((a for a in set_bits(deg1) if deg1 >> (nbrs[a].bit_length() - 1) & 1), None)
+            if a is not None:
+                b = nbrs[a].bit_length() - 1
+                moves.append(StripK2(vertices[a], vertices[b]))
+                suspensions += 1
+                self.remove(1 << a | 1 << b)
+                continue
+            fold = _first_fold(nbrs, window & self.alive, 0)
+            if fold is None:
+                break
+            v, w = fold
+            moves.append(Fold(vertices[v], vertices[w]))
+            window = window >> w + 1 << w + 1 | self.remove(1 << w)
+        return suspensions, False
+
+    def folds_to_cone_without(self, gone: int) -> bool:
+        """Whether the fold reaches a cone on this fold-stuck subgraph minus
+        the mask gone, which proves that complex contractible.  It scans only
+        near gone, and leaves this subgraph as it is."""
+        rest = self.copy()
+        return rest.reduce(rest.remove(gone), [])[1]
+
+
 def reduce_graph(g: Graph) -> ReductionTrace:
     """Exhaustively apply cone / K2-strip / fold moves, in that priority.
 
@@ -118,71 +248,63 @@ def reduce_graph(g: Graph) -> ReductionTrace:
     I(g); if `contractible` is set the whole complex is contractible and
     reduction stopped at the cone move (the residual keeps the cone vertex).
 
-    Each move costs work near the vertices it removes.  `nbrs` holds the
-    alive neighbor mask of every alive vertex, and `iso` and `deg1` mask the
-    alive vertices of degree 0 and 1; removing a vertex updates only its
-    neighbors' masks.  The cone vertex is the lowest bit of `iso`; the K2 strip
-    is the lowest a in `deg1` whose one neighbor b is in `deg1` too.
-
-    The fold scan resumes at p: no alive w < p has a fold.  A K2 strip
-    changes no other vertex's mask, so p stays.  A fold removing w changes
-    only the masks of the v' in the old N(w), so a fold (v', w') that is new
-    has v' in the old N(w) (an isolated v' makes the cone move first).  Then
-    N(v') is a nonempty part of N(w'), so w' is at distance 2 from v' and
-    within distance 3 of w.  So after the fold p becomes the smaller of w
-    and the least alive vertex within distance 3 of w.  The residual is
-    built once, at the end.
+    Each move costs work near the vertices it removes: the cone vertex is
+    the lowest isolated one, the K2 strip the lowest degree-1 a whose one
+    neighbor b has degree 1 too, and the fold scan resumes near the last
+    fold (see `_Alive.reduce`).  The residual is built once, at the end.
     """
-    nbrs = dict(enumerate(g.neighbor_masks))
-    everything = alive = (1 << len(g)) - 1
-    iso = sum(1 << v for v, mask in nbrs.items() if not mask)
-    deg1 = sum(1 << v for v, mask in nbrs.items() if mask.bit_count() == 1)
+    state = _Alive.of(g)
     moves: list[Move] = []
-    suspensions = 0
-    contractible = False
-    p = 0
-    while alive:
-        if iso:
-            moves.append(Cone(g.vertices[(iso & -iso).bit_length() - 1]))
-            contractible = True
+    suspensions, contractible = state.reduce(state.alive, moves)
+    return ReductionTrace(tuple(moves), suspensions, contractible, state.residual())
+
+
+def reduce_with_splits(g: Graph) -> ReductionTrace:
+    """Fold-reduce g, then split off each vertex whose link or deletion
+    folds to a cone, folding again after each split.
+
+    I(G) = I(G - v) u cone I(G - N[v]).  So if I(G - N[v]) is contractible
+    then I(G) ~ I(G - v): a LinkCone move deletes v.  If I(G - v) is
+    contractible then I(G) ~ S I(G - N[v]): a DeletionCone move deletes N[v]
+    and adds a suspension.  A complex counts as contractible only when the
+    fold, run on the fold-stuck graph minus those vertices, reaches a cone;
+    that is, when `reduce_graph` on that induced subgraph would.  Vertices
+    are tried lowest first, the link before the deletion, and after each
+    split the scan starts again at the lowest vertex.  I(g) is I(residual)
+    suspended `suspensions` times, as for `reduce_graph`.
+    """
+    trace = reduce_graph(g)
+    if trace.contractible or not len(trace.residual):
+        return trace
+    state = _Alive.of(trace.residual)
+    moves = list(trace.moves)
+    suspensions, contractible = trace.suspensions, False
+    vertices = trace.residual.vertices
+    while not contractible:
+        for v in set_bits(state.alive):
+            star = state.nbrs[v] | 1 << v
+            if state.folds_to_cone_without(star):
+                moves.append(LinkCone(vertices[v]))
+                gone = 1 << v
+                break
+            if state.folds_to_cone_without(1 << v):
+                moves.append(DeletionCone(vertices[v]))
+                suspensions += 1
+                gone = star
+                break
+        else:
             break
-        k2 = next((a for a in set_bits(deg1) if deg1 >> (nbrs[a].bit_length() - 1) & 1), None)
-        if k2 is not None:
-            a, b = k2, nbrs[k2].bit_length() - 1
-            moves.append(StripK2(g.vertices[a], g.vertices[b]))
-            suspensions += 1
-            del nbrs[a], nbrs[b]
-            alive &= ~(1 << a | 1 << b)
-            deg1 &= alive
-            continue
-        fold = _first_fold(nbrs, alive >> p << p, 0)
-        if fold is None:
-            break
-        v, w = fold
-        moves.append(Fold(g.vertices[v], g.vertices[w]))
-        alive &= ~(1 << w)
-        deg1 &= alive
-        mw = nbrs.pop(w)
-        for u in set_bits(mw):
-            mask = nbrs[u] = nbrs[u] ^ 1 << w
-            if not mask:
-                iso |= 1 << u
-            elif not mask & (mask - 1):
-                deg1 |= 1 << u
-        ball = mw  # nonempty: an isolated w would have made the cone move
-        for _ in range(2):
-            for u in set_bits(ball):
-                ball |= nbrs[u]
-        p = min(w, (ball & -ball).bit_length() - 1)
-    residual = g if alive == everything else delete_vertices(g, set_bits(everything ^ alive))
-    return ReductionTrace(tuple(moves), suspensions, contractible, residual)
+        more, contractible = state.reduce(state.remove(gone), moves)
+        suspensions += more
+    return ReductionTrace(tuple(moves), suspensions, contractible, state.residual())
 
 
 def homotopy_type_if_closed(trace: ReductionTrace) -> WedgeOfSpheres | None:
     """Read off the homotopy type when the trace fully resolved it.
 
     Contractible traces give a point; an empty residual gives a single
-    sphere S^{suspensions - 1} (each K2 strip suspends the empty complex).
+    sphere S^{suspensions - 1} (each K2 strip and DeletionCone suspends the
+    empty complex).
     A nonempty residual gives None: run homology on it and shift.
     """
     if trace.contractible:

@@ -22,8 +22,11 @@ descending mask order and pivots are lowest rows: any order gives the same
 ranks, but on the Γ(4,6) residual mixed directions take 6 to 7 times the
 integer steps.
 
-The family pipeline first fold-reduces the graph, computes homology on the
-residual, and shifts dimensions up by the number of recorded suspensions.
+The family pipeline first fold-reduces the graph, then splits off each
+vertex whose link or deletion folds to a cone (`reduce_with_splits`),
+computes homology on what is left, and shifts dimensions up by the number of
+suspensions, those of the K2 strips and of the splits.  Γ(5,6) closes with
+no face enumerated; Γ(6,6) leaves 10,907 faces and a(11) 1.74 M.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from itertools import filterfalse
 
 from . import linalg
 from .faces import faces_by_dimension
-from .fold import reduce_graph
+from .fold import reduce_with_splits
 from .graphs import Family, Graph, build_family
 
 
@@ -165,12 +168,13 @@ def integral_homology(g: Graph) -> BettiProfile:
 
 
 def betti_of_graph(g: Graph, coeff: str = "gf2") -> BettiProfile:
-    """Homology of I(g): fold-reduce, compute on the residual, shift by the suspensions.
+    """Homology of I(g): fold-reduce and split, compute on the residual,
+    shift by the suspensions.
 
     `coeff` is "int" or "gf<p>" with p prime; anything else raises ValueError.
     """
     p = _field_prime(coeff)
-    trace = reduce_graph(g)
+    trace = reduce_with_splits(g)
     if trace.contractible:
         return BettiProfile({}, (), coeff)
     if p is None:
@@ -181,5 +185,5 @@ def betti_of_graph(g: Graph, coeff: str = "gf2") -> BettiProfile:
 
 
 def betti_of_family(f: Family, coeff: str = "gf2") -> BettiProfile:
-    """Build the family graph, fold-reduce, compute homology, shift suspensions."""
+    """Build the family graph, then run `betti_of_graph` on it."""
     return betti_of_graph(build_family(f), coeff=coeff)

@@ -1,9 +1,9 @@
 """Cross-oracle verification suites.
 
 Each suite compares independent computations of the same quantity (closed
-forms, fold-reduced homology, brute-force homology, transfer-matrix Euler
-characteristics) and assembles a deterministic report.  Cases skipped by
-the face budget are reported, never silently dropped.
+forms, homology after fold reduction and splits, brute-force homology,
+transfer-matrix Euler characteristics) and assembles a deterministic report.
+Cases skipped by the face budget are reported, never silently dropped.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def verify_euler_table(max_n: int = 56) -> VerificationReport:
 def verify_small_homology(
     max_n: int = 4, coeff: str = "gf2", suite_name: str | None = None
 ) -> VerificationReport:
-    """Fold-reduced homology of every family against the closed forms."""
+    """Homology of every family after fold and splits against the closed forms."""
     started = time.perf_counter()
     report = VerificationReport(suite_name or f"small_homology_{coeff}")
     for kind in FAMILY_KEYS:
@@ -159,8 +159,8 @@ def verify_splittings(max_n: int = 5) -> VerificationReport:
 def verify_fold_soundness(
     samples: int = 200, seed: int = DEFAULT_SEED, max_vertices: int = 20
 ) -> VerificationReport:
-    """Betti numbers before and after fold reduction agree on a seeded corpus
-    of random induced subgraphs of small grids."""
+    """Betti numbers before and after fold reduction and splits agree on a
+    seeded corpus of random induced subgraphs of small grids."""
     started = time.perf_counter()
     report = VerificationReport("fold_soundness")
     rng = random.Random(seed)

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from indcomplex import Family, betti_of_family, build_family, build_gamma, expected_f6
+from indcomplex import (
+    Family, betti_of_family, build_family, build_gamma, expected_f6, predict_family, predict_gamma,
+)
 from indcomplex.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from indcomplex.graphs import graph_to_json_dict
 from indcomplex.linalg import MR_BOUND
@@ -95,17 +97,47 @@ class TestHomology:
         assert str(MR_BOUND) in err
 
     def test_budget_abort(self, capsys, face_budget_of):
+        # No split applies to the 20-vertex fold residual of Γ(4,6): 10,907 faces.
         face_budget_of(10)
-        code, _, err = run(capsys, "homology", "--family", "gamma", "--n", "3")
+        code, _, err = run(capsys, "homology", "--family", "gamma", "--n", "4")
         assert code == EXIT_BUDGET
         assert "face budget exceeded" in err
 
+    def test_splits_close_gamma_3_without_faces(self, capsys, face_budget_of):
+        face_budget_of(10)
+        code, out, _ = run(capsys, "homology", "--family", "gamma", "--n", "3")
+        assert code == EXIT_OK
+        assert json.loads(out)["reduced_betti"] == {"4": 1}
+
     def test_budget_abort_under_512mib_address_space(self):
-        # Γ(6,6) fold-reduces to 1.89 M faces; 512 MiB admits about 1.05 M,
-        # so the count refuses it before any face is enumerated.
+        # Γ(7,6) keeps 23.77 M faces after fold and splits; 512 MiB admits
+        # about 1.05 M, so the count refuses it before any face is enumerated.
         started = time.perf_counter()
         proc = run_capped(
+            ["-m", "indcomplex.cli", "homology", "--family", "gamma", "--n", "7"], 512 << 20
+        )
+        assert time.perf_counter() - started < 1.0
+        assert proc.returncode == EXIT_BUDGET
+        assert "face budget exceeded" in proc.stderr
+
+    def test_gamma6_under_512mib_address_space(self):
+        # Splits leave 10,907 of Γ(6,6)'s 1.89 M fold-residual faces.
+        proc = run_capped(
             ["-m", "indcomplex.cli", "homology", "--family", "gamma", "--n", "6"], 512 << 20
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["reduced_betti"] == {"8": 3} == {
+            str(d): b for d, b in predict_gamma(6).betti_numbers().items()
+        }
+        assert report["suspensions_applied"] == 3
+
+    def test_large_input_is_refused_quickly(self):
+        # The split tests on Γ(60,6)'s 356-vertex residual each scan only
+        # near the deleted vertices, so the refusal stays fast.
+        started = time.perf_counter()
+        proc = run_capped(
+            ["-m", "indcomplex.cli", "homology", "--family", "gamma", "--n", "60"], 1 << 30
         )
         assert time.perf_counter() - started < 1.0
         assert proc.returncode == EXIT_BUDGET
@@ -123,8 +155,8 @@ class TestHomology:
 
     @pytest.mark.deep
     def test_a7_under_1gib_address_space(self):
-        # a(7) has 0.84 M faces after fold reduction; the cap applies to the
-        # child process only.
+        # Splits leave 322 of a(7)'s 0.84 M fold-residual faces; the cap
+        # applies to the child process only.
         proc = run_capped(
             ["-m", "indcomplex.cli", "homology", "--family", "a", "--n", "7"], 1 << 30
         )
@@ -133,13 +165,22 @@ class TestHomology:
 
     @pytest.mark.deep
     def test_gamma6_integral_under_1gib_address_space(self):
-        # Γ(6,6) fold-reduces to 1.89 M faces; Z clears at its unit pivots,
-        # so it passes as few columns as GF(2).
         args = ["homology", "--family", "gamma", "--n", "6", "--coeff", "int"]
         proc = run_capped(["-m", "indcomplex.cli", *args], 1 << 30)
         assert proc.returncode == EXIT_OK, proc.stderr
         report = json.loads(proc.stdout)
         assert (report["reduced_betti"], report["torsion"]) == ({"8": 3}, [])
+
+    @pytest.mark.deep
+    def test_a11_under_1gib_address_space(self):
+        # Fold and splits leave 30 vertices and 1.74 M faces.
+        proc = run_capped(
+            ["-m", "indcomplex.cli", "homology", "--family", "a", "--n", "11"], 1 << 30
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["reduced_betti"] == {"15": 3} == {
+            str(d): b for d, b in predict_family(Family("a", 11)).betti_numbers().items()
+        }
 
     def test_gamma_takes_k(self, capsys):
         code, out, _ = run(capsys, "homology", "--family", "gamma", "--n", "3", "--k", "4")

@@ -13,11 +13,13 @@ from indcomplex import (
     predict_family,
     reduce_graph,
 )
-from indcomplex.fold import Cone, Fold, ReductionTrace, StripK2, find_fold
+from indcomplex.fold import (
+    Cone, DeletionCone, Fold, LinkCone, ReductionTrace, StripK2, find_fold, reduce_with_splits,
+)
 from indcomplex.graphs import FAMILY_KINDS, delete_vertices
 from indcomplex.homology import betti_of_graph, betti_over_field
 
-from conftest import random_grid_subgraph
+from conftest import graphs_with_splits, random_grid_subgraph
 
 
 def full(g):
@@ -72,6 +74,44 @@ def reference_reduce(g):
         moves.append(Fold(current.vertices[v], current.vertices[w]))
         current = delete_vertices(current, [w])
     return ReductionTrace(tuple(moves), suspensions, False, current)
+
+
+def replay(g, trace):
+    """Oracle for reduce_with_splits: redo every move of the trace on a graph
+    rebuilt by delete_vertices, checking each move's condition there; a
+    split's contractible subgraph must make reduce_graph end in a cone."""
+    current, suspensions = g, 0
+    for move in trace.moves:
+        if isinstance(move, Cone):
+            assert current.degree(current.index(move.v)) == 0
+            assert move is trace.moves[-1] and trace.contractible
+            continue
+        if isinstance(move, Fold):
+            v, w = current.index(move.v), current.index(move.w)
+            assert current.neighborhood(v) <= current.neighborhood(w)
+            gone = [w]
+        elif isinstance(move, StripK2):
+            a, b = current.index(move.a), current.index(move.b)
+            assert current.neighborhood(a) == {b} and current.neighborhood(b) == {a}
+            gone, suspensions = [a, b], suspensions + 1
+        else:
+            v = current.index(move.v)
+            star = current.neighborhood(v, closed=True)
+            if isinstance(move, LinkCone):
+                assert reduce_graph(delete_vertices(current, star)).contractible
+                gone = [v]
+            else:
+                assert isinstance(move, DeletionCone)
+                assert reduce_graph(delete_vertices(current, [v])).contractible
+                gone, suspensions = star, suspensions + 1
+        current = delete_vertices(current, gone)
+    assert (trace.residual, trace.suspensions) == (current, suspensions)
+    if not trace.contractible:
+        # Nothing is left to split: no link and no deletion folds to a cone.
+        for v in range(len(current)):
+            star = current.neighborhood(v, closed=True)
+            assert not reduce_graph(delete_vertices(current, star)).contractible
+            assert not reduce_graph(delete_vertices(current, [v])).contractible
 
 
 class TestFindFold:
@@ -209,6 +249,43 @@ class TestAgainstReference:
         assert len(trace.moves) == moves
         assert len(trace.residual) == 0
         assert homotopy_type_if_closed(trace) == predict_family(f)
+
+
+class TestSplits:
+    """reduce_with_splits against a replay on rebuilt graphs."""
+
+    def test_fold_moves_come_first(self):
+        g = build_gamma(5, 6)
+        trace = reduce_with_splits(g)
+        folds = reduce_graph(g).moves
+        assert trace.moves[: len(folds)] == folds
+        kinds = [type(m) for m in trace.moves[len(folds):]]
+        assert kinds.count(LinkCone) + kinds.count(DeletionCone) == 3
+        assert homotopy_type_if_closed(trace) == WedgeOfSpheres.sphere(7)
+
+    def test_split_corpus(self):
+        for g in graphs_with_splits(seed=3011, count=120):
+            replay(g, reduce_with_splits(g))
+
+    def test_random_grid_subgraphs(self):
+        rng = random.Random(2207)
+        for _ in range(120):
+            g = random_grid_subgraph(rng, max_n=8, max_vertices=40)
+            replay(g, reduce_with_splits(g))
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_families(self, kind):
+        for n in range(1, 13):
+            f = Family(kind, n)
+            trace = reduce_with_splits(build_family(f))
+            replay(build_family(f), trace)
+            if homotopy_type_if_closed(trace) is not None:
+                assert homotopy_type_if_closed(trace) == predict_family(f)
+
+    def test_gamma_n_by_k(self):
+        for n in range(1, 7):
+            for k in range(1, 7):
+                replay(build_gamma(n, k), reduce_with_splits(build_gamma(n, k)))
 
 
 class TestHomotopyTypeIfClosed:

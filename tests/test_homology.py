@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -19,7 +20,9 @@ from indcomplex.fold import reduce_graph
 from indcomplex.graphs import delete_vertices
 from indcomplex.homology import _facets, _signed_facets, betti_of_graph, betti_over_field
 
-from conftest import disjoint_union, flag_rp2, random_grid_subgraph
+from conftest import (
+    disjoint_union, flag_rp2, graphs_with_splits, random_grid_subgraph, run_capped,
+)
 
 
 def boundary_columns(g, d):
@@ -197,11 +200,38 @@ class TestIntegralHomology:
         assert profile.reduced_betti == {}
 
     def test_gamma_5x6_integral(self):
-        # The 26-vertex residual has 162,401 faces; with clearing at the unit
-        # pivots Z passes the same 81,201 columns as GF(2).
-        profile = betti_of_family(Family("gamma", 5), coeff="int")
+        # The 26-vertex fold residual has 162,401 faces; with clearing at the
+        # unit pivots Z passes the same 81,201 columns as GF(2).  Splits close
+        # Γ(5,6) without faces, so the residual is passed directly.
+        profile = integral_homology(reduce_graph(build_gamma(5, 6)).residual)
         assert profile.reduced_betti == {7: 1}
         assert profile.torsion == ()
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize(
+    "kind, n, call, betti",
+    [
+        ("a", 7, "betti_over_field(residual, 2)", {"8": 2}),
+        ("gamma", 6, "integral_homology(residual)", {"8": 3}),
+    ],
+    ids=["a7-gf2", "gamma6-int"],
+)
+def test_fold_residual_under_1gib_address_space(kind, n, call, betti):
+    # The fold residuals of a(7) (0.84 M faces, one suspension) and Γ(6,6)
+    # (1.89 M faces), which BYTES_PER_FACE is calibrated on, enumerated with
+    # no split, in a child process capped at 1 GiB.
+    script = (
+        "import json\n"
+        "from indcomplex import Family, build_family, reduce_graph\n"
+        "from indcomplex.homology import betti_over_field, integral_homology\n"
+        f"residual = reduce_graph(build_family(Family({kind!r}, {n}))).residual\n"
+        f"print(json.dumps({call}.to_json_dict()))\n"
+    )
+    proc = run_capped(["-c", script], 1 << 30)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["reduced_betti"], report["torsion"]) == (betti, [])
 
 
 def test_columns_and_pivots_run_the_same_way(monkeypatch):
@@ -331,6 +361,13 @@ class TestBettiOfFamily:
                 assert gf2 == gf3 == integral.reduced_betti
                 assert integral.torsion == ()
 
+    @pytest.mark.parametrize("kind, n", [("a", 9), ("b", 8), ("b", 10), ("b", 12), ("gamma", 6)])
+    def test_reach_by_splits(self, kind, n):
+        # Fold and splits leave 322 faces of a(9), 95,763 of each b(n) and
+        # 10,907 of Γ(6,6), whose fold residual alone has 1.89 M.
+        fam = Family(kind, n)
+        assert betti_of_family(fam).reduced_betti == predict_family(fam).betti_numbers()
+
     def test_unknown_coefficient(self):
         with pytest.raises(ValueError):
             betti_of_family(Family("y", 1), coeff="rational")
@@ -395,6 +432,19 @@ class TestProperties:
         for d, b in betti("a", n - 4).items():
             rhs[d + 6] = rhs.get(d + 6, 0) + 2 * b
         assert lhs == rhs
+
+
+def test_splits_keep_homology_in_every_ring():
+    # Each graph of the corpus gets at least one split move; the oracle is
+    # the homology of the whole graph, with no reduction at all.
+    for g in graphs_with_splits(seed=3011, count=120):
+        for coeff, direct in (
+            ("gf2", betti_over_field(g, 2)),
+            ("gf3", betti_over_field(g, 3)),
+            ("int", integral_homology(g)),
+        ):
+            split = betti_of_graph(g, coeff)
+            assert (split.reduced_betti, split.torsion) == (direct.reduced_betti, direct.torsion)
 
 
 class TestBettiProfile:
