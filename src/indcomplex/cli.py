@@ -55,10 +55,7 @@ def _load_graph(path: str | None):
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    if args.family == "gamma":
-        wedge = predict_gamma(args.n)
-    else:
-        wedge = predict_family(Family(args.family, args.n))
+    wedge = predict_family(Family(args.family, args.n))
     _emit(
         {
             "wedge": {str(d): m for d, m in wedge.betti_numbers().items()},

@@ -23,7 +23,8 @@ powers of cycles", JCTA 2012): when the fold takes G - N[v] to a cone, v is
 deleted (LinkCone), and when it takes G - v to a cone, N[v] is deleted and
 the complex suspended (DeletionCone).  Each such test is the same fold loop,
 started from the fold-stuck graph with the window around the deleted
-vertices, and it stops at the first cone.
+vertices, and it stops at the first cone.  The splits act on the fold's own
+mask state, so the residual is still built once.
 """
 
 from __future__ import annotations
@@ -42,18 +43,12 @@ class Fold:
     v: Vertex
     w: Vertex
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "fold", "v": list(self.v), "w": list(self.w)}
-
 
 @dataclass(frozen=True)
 class Cone:
     """v was isolated, so the complex is a cone (contractible)."""
 
     v: Vertex
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "cone", "v": list(self.v)}
 
 
 @dataclass(frozen=True)
@@ -63,18 +58,12 @@ class StripK2:
     a: Vertex
     b: Vertex
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "strip_k2", "a": list(self.a), "b": list(self.b)}
-
 
 @dataclass(frozen=True)
 class LinkCone:
     """I(G - N[v]) folded to a cone, so I(G) ~ I(G - v): v was deleted."""
 
     v: Vertex
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "link_cone", "v": list(self.v)}
 
 
 @dataclass(frozen=True)
@@ -84,11 +73,14 @@ class DeletionCone:
 
     v: Vertex
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "deletion_cone", "v": list(self.v)}
-
 
 Move = Union[Fold, Cone, StripK2, LinkCone, DeletionCone]
+
+# The JSON "kind" of each move; its other keys are the move's vertex fields.
+_KINDS = {
+    Fold: "fold", Cone: "cone", StripK2: "strip_k2",
+    LinkCone: "link_cone", DeletionCone: "deletion_cone",
+}
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,10 @@ class ReductionTrace:
 
     def to_json_dict(self) -> dict:
         return {
-            "moves": [m.to_json_dict() for m in self.moves],
+            "moves": [
+                {"kind": _KINDS[type(m)], **{f: list(v) for f, v in vars(m).items()}}
+                for m in self.moves
+            ],
             "suspensions": self.suspensions,
             "contractible": self.contractible,
             "residual": graph_to_json_dict(self.residual),
@@ -270,25 +265,24 @@ def reduce_with_splits(g: Graph) -> ReductionTrace:
     fold, run on the fold-stuck graph minus those vertices, reaches a cone;
     that is, when `reduce_graph` on that induced subgraph would.  Vertices
     are tried lowest first, the link before the deletion, and after each
-    split the scan starts again at the lowest vertex.  I(g) is I(residual)
-    suspended `suspensions` times, as for `reduce_graph`.
+    split the scan starts again at the lowest vertex.  The splits continue
+    the fold's own state over g, so the moves begin with those of
+    `reduce_graph(g)`, and the trace is that one when the fold reaches a
+    cone or the empty graph.  I(g) is I(residual) suspended `suspensions`
+    times, as for `reduce_graph`; the residual is built once, at the end.
     """
-    trace = reduce_graph(g)
-    if trace.contractible or not len(trace.residual):
-        return trace
-    state = _Alive.of(trace.residual)
-    moves = list(trace.moves)
-    suspensions, contractible = trace.suspensions, False
-    vertices = trace.residual.vertices
+    state = _Alive.of(g)
+    moves: list[Move] = []
+    suspensions, contractible = state.reduce(state.alive, moves)
     while not contractible:
         for v in set_bits(state.alive):
             star = state.nbrs[v] | 1 << v
             if state.folds_to_cone_without(star):
-                moves.append(LinkCone(vertices[v]))
+                moves.append(LinkCone(g.vertices[v]))
                 gone = 1 << v
                 break
             if state.folds_to_cone_without(1 << v):
-                moves.append(DeletionCone(vertices[v]))
+                moves.append(DeletionCone(g.vertices[v]))
                 suspensions += 1
                 gone = star
                 break

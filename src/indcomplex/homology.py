@@ -50,10 +50,6 @@ class BettiProfile:
     coefficient: str = "gf2"
     suspensions_applied: int = 0
 
-    @property
-    def reduced_euler(self) -> int:
-        return sum((-1) ** d * b for d, b in self.reduced_betti.items())
-
     def shifted(self, s: int) -> "BettiProfile":
         return BettiProfile(
             {d + s: b for d, b in self.reduced_betti.items()},
@@ -108,10 +104,10 @@ def _betti_from_ranks(faces: dict[int, list[int]], ranks: dict[int, int]) -> dic
     return out
 
 
-def _field_prime(coeff: str) -> int | None:
-    """The prime p of a "gf<p>" descriptor, or None for "int"."""
+def _field_prime(coeff: str) -> int:
+    """The prime p of a "gf<p>" descriptor, or 0, Z in `_homology`, for "int"."""
     if coeff == "int":
-        return None
+        return 0
     match = re.fullmatch(r"gf([1-9][0-9]*)", coeff)
     if match is None or not linalg.is_prime(int(match[1])):
         raise ValueError(
@@ -177,11 +173,7 @@ def betti_of_graph(g: Graph, coeff: str = "gf2") -> BettiProfile:
     trace = reduce_with_splits(g)
     if trace.contractible:
         return BettiProfile({}, (), coeff)
-    if p is None:
-        profile = integral_homology(trace.residual)
-    else:
-        profile = betti_over_field(trace.residual, p)
-    return profile.shifted(trace.suspensions)
+    return _homology(trace.residual, p).shifted(trace.suspensions)
 
 
 def betti_of_family(f: Family, coeff: str = "gf2") -> BettiProfile:

@@ -55,6 +55,8 @@ def _path_sets(k: int) -> list[list[int]]:
     uses it (a set on m - 2 rows plus the top bit), and every set of the
     second kind is larger than every set of the first.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     paths = [[0], [0, 1]]
     for m in range(2, k + 1):
         top = 1 << (m - 1)
@@ -64,8 +66,6 @@ def _path_sets(k: int) -> list[list[int]]:
 
 def column_states(k: int) -> list[int]:
     """Row-subset bitmasks independent in a path of k rows, sorted ascending."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     return _path_sets(k)[k]
 
 
@@ -136,9 +136,9 @@ def build_transfer_model(k: int) -> TransferModel:
                 f"the width-{k} transfer tables need more than the {limit} bytes "
                 "of address space"
             )
-    states = tuple(column_states(k))
-    signs = tuple(-1 if s.bit_count() % 2 else 1 for s in states)
     paths = _path_sets(k)
+    states = tuple(paths[k])
+    signs = tuple(-1 if s.bit_count() % 2 else 1 for s in states)
     cells = []
     level = states
     for i in range(k):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .faces import FaceBudgetExceeded, link_graph
-from .graphs import Family, build_family, build_gamma, delete_vertices
+from .graphs import FAMILY_KINDS, Family, build_family, build_gamma, delete_vertices
 from .homology import betti_of_family, betti_of_graph, betti_over_field
 from .predictor import expected_f6, predict_family, predict_gamma
 from .transfer import euler_sweep
@@ -22,7 +22,7 @@ from .wedge import WedgeOfSpheres
 
 DEFAULT_SEED = 1729
 
-FAMILY_KEYS = ("gamma", "x", "y", "a", "b")
+FAMILY_KEYS = FAMILY_KINDS
 
 
 @dataclass(frozen=True)

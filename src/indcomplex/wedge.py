@@ -34,8 +34,8 @@ class WedgeOfSpheres:
         return cls()
 
     @classmethod
-    def sphere(cls, dim: int, mult: int = 1) -> "WedgeOfSpheres":
-        return cls({dim: mult})
+    def sphere(cls, dim: int) -> "WedgeOfSpheres":
+        return cls({dim: 1})
 
     @property
     def is_point(self) -> bool:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from indcomplex import (
     predict_family,
     reduce_graph,
 )
+import indcomplex.fold as fold_module
 from indcomplex.fold import (
     Cone, DeletionCone, Fold, LinkCone, ReductionTrace, StripK2, find_fold, reduce_with_splits,
 )
@@ -255,13 +257,35 @@ class TestSplits:
     """reduce_with_splits against a replay on rebuilt graphs."""
 
     def test_fold_moves_come_first(self):
+        families = [build_family(Family(kind, n)) for kind in FAMILY_KINDS for n in range(1, 13)]
+        for g in graphs_with_splits(seed=3011, count=120) + families:
+            trace, folded = reduce_with_splits(g), reduce_graph(g)
+            assert trace.moves[: len(folded.moves)] == folded.moves
+            if folded.contractible or not len(folded.residual):
+                assert trace == folded
         g = build_gamma(5, 6)
         trace = reduce_with_splits(g)
         folds = reduce_graph(g).moves
-        assert trace.moves[: len(folds)] == folds
         kinds = [type(m) for m in trace.moves[len(folds):]]
         assert kinds.count(LinkCone) + kinds.count(DeletionCone) == 3
         assert homotopy_type_if_closed(trace) == WedgeOfSpheres.sphere(7)
+
+    @pytest.mark.parametrize("f", [Family("gamma", 5), Family("gamma", 6), Family("a", 7)])
+    def test_one_state_and_one_residual(self, f, monkeypatch):
+        # The splits continue the fold's own state: no second reduction, no
+        # intermediate graph.
+        g, calls = build_family(f), []
+
+        def count(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or real(*args))
+
+        count(fold_module, "reduce_graph")
+        count(fold_module, "delete_vertices")
+        count(fold_module._Alive, "of")
+        reduce_with_splits(g)
+        assert calls.count("of") == 1 and calls.count("delete_vertices") <= 1
+        assert "reduce_graph" not in calls
 
     def test_split_corpus(self):
         for g in graphs_with_splits(seed=3011, count=120):
@@ -286,6 +310,18 @@ class TestSplits:
         for n in range(1, 7):
             for k in range(1, 7):
                 replay(build_gamma(n, k), reduce_with_splits(build_gamma(n, k)))
+
+
+class TestTraceJson:
+    def test_every_move_kind(self):
+        u, w = (1, 2), (3, 4)
+        moves = (Fold(u, w), Cone(u), StripK2(u, w), LinkCone(w), DeletionCone(u))
+        trace = ReductionTrace(moves, 2, True, delete_vertices(build_gamma(1, 1), [0]))
+        assert json.dumps(trace.to_json_dict()["moves"]) == (
+            '[{"kind": "fold", "v": [1, 2], "w": [3, 4]}, {"kind": "cone", "v": [1, 2]}, '
+            '{"kind": "strip_k2", "a": [1, 2], "b": [3, 4]}, {"kind": "link_cone", "v": [3, 4]}, '
+            '{"kind": "deletion_cone", "v": [1, 2]}]'
+        )
 
 
 class TestHomotopyTypeIfClosed:
