@@ -9,9 +9,10 @@ Three unconditional moves are applied exhaustively, in priority order:
 
 The scan order is fixed (lowest indices first) so the trace is a pure
 function of the input graph.  No graph is rebuilt while reducing: the
-alive vertices are a mask over the input graph, and their alive neighbor
-masks, with masks of the degree-0 and degree-1 vertices, are kept up to
-date move by move; removing a vertex touches only its neighbors.  The fold
+alive vertices are a mask over the input graph, a list indexed by vertex
+holds their alive neighbor masks, and masks of the degree-0 and degree-1
+vertices are kept up to date move by move; removing a vertex touches only
+its neighbors, and the hot loops walk each mask inline, bit by bit.  The fold
 scan covers only a window, the vertices that may still have a fold: after a
 fold at w, what is left of the window above w plus the vertices two steps
 from a neighbor of w; so a move costs work near the vertex it removes, not
@@ -22,9 +23,9 @@ I(G - N[v]) (Adamaszek, "Splittings of independence complexes and the
 powers of cycles", JCTA 2012): when the fold takes G - N[v] to a cone, v is
 deleted (LinkCone), and when it takes G - v to a cone, N[v] is deleted and
 the complex suspended (DeletionCone).  Each such test is the same fold loop,
-started from the fold-stuck graph with the window around the deleted
-vertices, and it stops at the first cone.  The splits act on the fold's own
-mask state, so the residual is still built once.
+run on a copy of the fold-stuck state with the window around the deleted
+vertices; it records no moves and stops at the first cone.  The splits act
+on the fold's own mask state, so the residual is still built once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .graphs import Graph, Vertex, delete_vertices, graph_to_json_dict, set_bits
+from .graphs import Graph, GraphError, Vertex, delete_vertices, graph_to_json_dict, set_bits
 from .wedge import WedgeOfSpheres
 
 
@@ -109,56 +110,63 @@ def find_fold(g: Graph, alive: int) -> tuple[int, int] | None:
     Inclusion may be non-strict; equal neighborhoods (twins) are only
     considered in the orientation that removes the larger index.
     """
-    masks = g.neighbor_masks
-    nbrs = {v: masks[v] & alive for v in set_bits(alive)}
-    isolated = sum(1 << v for v, mask in nbrs.items() if not mask)
+    if alive >> len(g):
+        raise GraphError(f"vertex mask {alive:#x} has bits outside the {len(g)} vertices of g")
+    nbrs = [m & alive for m in g.neighbor_masks]
+    isolated = sum(1 << v for v, mask in enumerate(nbrs) if not mask) & alive
     return _first_fold(nbrs, alive, isolated)
 
 
-def _first_fold(nbrs: dict[int, int], ws: int, isolated: int) -> tuple[int, int] | None:
+def _first_fold(nbrs: list[int], ws: int, isolated: int) -> tuple[int, int] | None:
     """First fold (v, w) with w in the mask ws, least by (w, v), where nbrs
-    maps each alive vertex to its alive neighbor mask and isolated masks the
-    alive vertices without one.
+    holds each alive vertex's alive neighbor mask (0 for the others) and
+    isolated masks the alive vertices without one.
 
     The only candidates for v are the isolated vertices and the vertices at
     distance 2 from w: if u is in N(v) then u is in N(w), so v is in N(u).
     """
-    for w in set_bits(ws):
-        mw = nbrs[w]
-        near = isolated
-        for u in set_bits(mw):
-            near |= nbrs[u]
-        for v in set_bits(near & ~(1 << w)):
-            mv = nbrs[v]
-            if mv & ~mw or (mv == mw and w < v):
-                continue
-            return (v, w)
+    while ws:
+        lw = ws & -ws
+        mw = nbrs[lw.bit_length() - 1]
+        near, m = isolated, mw
+        while m:
+            low = m & -m
+            near |= nbrs[low.bit_length() - 1]
+            m ^= low
+        near &= ~lw
+        while near:
+            low = near & -near
+            mv = nbrs[low.bit_length() - 1]
+            if not mv & ~mw and (mv != mw or low < lw):
+                return (low.bit_length() - 1, lw.bit_length() - 1)
+            near ^= low
+        ws ^= lw
     return None
 
 
 class _Alive:
     """An induced subgraph of the graph host, kept up to date move by move.
 
-    `alive` masks its vertices, `nbrs` maps each of them to its alive
-    neighbor mask, and `iso` and `deg1` mask the alive vertices of degree 0
-    and 1 (`deg1` may keep a vertex that has since become isolated).
-    Removing a vertex updates only its neighbors' masks.
+    `alive` masks its vertices, the list `nbrs` holds each host vertex's
+    alive neighbor mask (0 once it is removed), and `iso` and `deg1` mask the
+    alive vertices of degree 0 and 1 (`deg1` may keep a vertex that has since
+    become isolated).  Removing a vertex updates only its neighbors' masks.
     """
 
     __slots__ = ("host", "nbrs", "alive", "iso", "deg1")
 
-    def __init__(self, host: Graph, nbrs: dict[int, int], alive: int, iso: int, deg1: int):
+    def __init__(self, host: Graph, nbrs: list[int], alive: int, iso: int, deg1: int):
         self.host, self.nbrs, self.alive, self.iso, self.deg1 = host, nbrs, alive, iso, deg1
 
     @classmethod
     def of(cls, g: Graph) -> "_Alive":
-        nbrs = dict(enumerate(g.neighbor_masks))
-        iso = sum(1 << v for v, mask in nbrs.items() if not mask)
-        deg1 = sum(1 << v for v, mask in nbrs.items() if mask.bit_count() == 1)
+        nbrs = list(g.neighbor_masks)
+        iso = sum(1 << v for v, mask in enumerate(nbrs) if not mask)
+        deg1 = sum(1 << v for v, mask in enumerate(nbrs) if mask.bit_count() == 1)
         return cls(g, nbrs, (1 << len(g)) - 1, iso, deg1)
 
     def copy(self) -> "_Alive":
-        return _Alive(self.host, dict(self.nbrs), self.alive, self.iso, self.deg1)
+        return _Alive(self.host, self.nbrs[:], self.alive, self.iso, self.deg1)
 
     def residual(self) -> Graph:
         everything = (1 << len(self.host)) - 1
@@ -173,26 +181,35 @@ class _Alive:
         nbrs = self.nbrs
         alive = self.alive = self.alive & ~gone
         touched = 0
-        for x in set_bits(gone):
-            touched |= nbrs.pop(x)
+        while gone:
+            low = gone & -gone
+            x = low.bit_length() - 1
+            touched |= nbrs[x]
+            nbrs[x] = 0
+            gone ^= low
         touched &= alive
-        for u in set_bits(touched):
+        ring = ball = 0
+        while touched:
+            low = touched & -touched
+            u = low.bit_length() - 1
             mask = nbrs[u] = nbrs[u] & alive
             if not mask:
-                self.iso |= 1 << u
+                self.iso |= low
             elif not mask & (mask - 1):
-                self.deg1 |= 1 << u
+                self.deg1 |= low
+            ring |= mask
+            touched ^= low
         self.deg1 &= alive
-        ring = ball = 0
-        for u in set_bits(touched):
-            ring |= nbrs[u]
-        for u in set_bits(ring):
-            ball |= nbrs[u]
+        while ring:
+            low = ring & -ring
+            ball |= nbrs[low.bit_length() - 1]
+            ring ^= low
         return ball
 
-    def reduce(self, window: int, moves: list[Move]) -> tuple[int, bool]:
-        """Apply cone, K2-strip and fold moves, appending each to moves, until
-        none applies or a cone does; returns (suspensions, cone reached).
+    def reduce(self, window: int, moves: list[Move] | None) -> tuple[int, bool]:
+        """Apply cone, K2-strip and fold moves, appending each to moves (if it
+        is not None), until none applies or a cone does; returns
+        (suspensions, cone reached).
 
         The fold scan covers only the mask window, which must hold the w of
         every fold (v, w): every alive vertex from scratch, or, when `remove`
@@ -210,21 +227,30 @@ class _Alive:
         suspensions = 0
         while self.alive:
             if self.iso:
-                moves.append(Cone(vertices[(self.iso & -self.iso).bit_length() - 1]))
+                if moves is not None:
+                    moves.append(Cone(vertices[(self.iso & -self.iso).bit_length() - 1]))
                 return suspensions, True
-            deg1 = self.deg1
-            a = next((a for a in set_bits(deg1) if deg1 >> (nbrs[a].bit_length() - 1) & 1), None)
-            if a is not None:
-                b = nbrs[a].bit_length() - 1
-                moves.append(StripK2(vertices[a], vertices[b]))
+            # The lowest a in deg1 whose one neighbor b is in deg1 too.  No
+            # vertex of deg1 is isolated here, as the cone move came first.
+            deg1 = m = self.deg1
+            while m:
+                low = m & -m
+                b = nbrs[low.bit_length() - 1].bit_length() - 1
+                if deg1 >> b & 1:
+                    break
+                m ^= low
+            if m:
+                if moves is not None:
+                    moves.append(StripK2(vertices[low.bit_length() - 1], vertices[b]))
                 suspensions += 1
-                self.remove(1 << a | 1 << b)
+                self.remove(low | 1 << b)
                 continue
             fold = _first_fold(nbrs, window & self.alive, 0)
             if fold is None:
                 break
             v, w = fold
-            moves.append(Fold(vertices[v], vertices[w]))
+            if moves is not None:
+                moves.append(Fold(vertices[v], vertices[w]))
             window = window >> w + 1 << w + 1 | self.remove(1 << w)
         return suspensions, False
 
@@ -233,7 +259,7 @@ class _Alive:
         the mask gone, which proves that complex contractible.  It scans only
         near gone, and leaves this subgraph as it is."""
         rest = self.copy()
-        return rest.reduce(rest.remove(gone), [])[1]
+        return rest.reduce(rest.remove(gone), None)[1]
 
 
 def reduce_graph(g: Graph) -> ReductionTrace:
@@ -275,17 +301,21 @@ def reduce_with_splits(g: Graph) -> ReductionTrace:
     moves: list[Move] = []
     suspensions, contractible = state.reduce(state.alive, moves)
     while not contractible:
-        for v in set_bits(state.alive):
-            star = state.nbrs[v] | 1 << v
+        m = state.alive
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            star = state.nbrs[v] | low
             if state.folds_to_cone_without(star):
                 moves.append(LinkCone(g.vertices[v]))
-                gone = 1 << v
+                gone = low
                 break
-            if state.folds_to_cone_without(1 << v):
+            if state.folds_to_cone_without(low):
                 moves.append(DeletionCone(g.vertices[v]))
                 suspensions += 1
                 gone = star
                 break
+            m ^= low
         else:
             break
         more, contractible = state.reduce(state.remove(gone), moves)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .faces import FaceBudgetExceeded, link_graph
-from .graphs import FAMILY_KINDS, Family, build_family, build_gamma, delete_vertices
+from .fold import DeletionCone, LinkCone, reduce_with_splits
+from .graphs import FAMILY_KINDS, Family, Graph, build_family, build_gamma, delete_vertices
 from .homology import betti_of_family, betti_of_graph, betti_over_field
 from .predictor import expected_f6, predict_family, predict_gamma
 from .transfer import euler_sweep
@@ -180,13 +181,48 @@ def verify_fold_soundness(
     return _finish(report, started)
 
 
-# Every suite takes the seed; only fold_soundness draws random inputs.
+def graphs_with_splits(seed: int, count: int) -> list[Graph]:
+    """Seeded induced subgraphs of Γ(n, k), n <= 5 and 2 <= k <= 6, of at
+    most 18 vertices and at most 3 below that bound, kept when
+    reduce_with_splits makes a split move on them; most such graphs fold to
+    a point or a sphere without one."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = build_gamma(rng.randint(1, 5), rng.randint(2, 6))
+        top = min(18, len(g))
+        keep = set(rng.sample(range(len(g)), rng.randint(max(top - 3, 0), top)))
+        g = delete_vertices(g, set(range(len(g))) - keep)
+        moves = reduce_with_splits(g).moves
+        if any(isinstance(m, (LinkCone, DeletionCone)) for m in moves):
+            out.append(g)
+    return out
+
+
+def verify_split_soundness(samples: int = 200, seed: int = DEFAULT_SEED) -> VerificationReport:
+    """Betti numbers before and after fold reduction and splits agree on a
+    seeded corpus of graphs that each get at least one split move."""
+    started = time.perf_counter()
+    report = VerificationReport("split_soundness")
+    for i, g in enumerate(graphs_with_splits(seed, samples)):
+        direct = WedgeOfSpheres(betti_over_field(g, 2).reduced_betti)
+        reduced = WedgeOfSpheres(betti_of_graph(g, coeff="gf2").reduced_betti)
+        key = f"sample={i:03d}:size={len(g)}"
+        report.cases.append(
+            Case(key, _wedge_dict(direct), _wedge_dict(reduced), direct == reduced)
+        )
+    return _finish(report, started)
+
+
+# Every suite takes the seed; only fold_soundness and split_soundness draw
+# random inputs.
 SUITES: dict[str, Callable[[int], VerificationReport]] = {
     "euler_table": lambda seed: verify_euler_table(),
     "small_homology_gf2": lambda seed: verify_small_homology(coeff="gf2"),
     "small_homology_int": lambda seed: verify_small_homology(coeff="int"),
     "splittings": lambda seed: verify_splittings(),
     "fold_soundness": lambda seed: verify_fold_soundness(seed=seed),
+    "split_soundness": lambda seed: verify_split_soundness(seed=seed),
     "deep_homology": lambda seed: verify_small_homology(max_n=6, suite_name="deep_homology"),
 }
 

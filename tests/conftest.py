@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from indcomplex.fold import DeletionCone, LinkCone, reduce_with_splits
 from indcomplex.graphs import Graph, build_gamma, delete_vertices
+from indcomplex.verify import graphs_with_splits  # noqa: F401  (re-exported for the tests)
 
 
 def brute_force_independent_sets(g: Graph) -> list[tuple[int, ...]]:
@@ -29,24 +29,6 @@ def random_grid_subgraph(rng: random.Random, max_n: int = 4, max_vertices: int =
     size = rng.randint(0, min(max_vertices, len(g)))
     keep = set(rng.sample(range(len(g)), size))
     return delete_vertices(g, set(range(len(g))) - keep)
-
-
-def graphs_with_splits(seed: int, count: int) -> list[Graph]:
-    """Seeded induced subgraphs of Γ(n, k), n <= 5 and 2 <= k <= 6, of at
-    most 18 vertices and at most 3 below that bound, kept when
-    reduce_with_splits makes a split move on them; most such graphs fold to
-    a point or a sphere without one."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        g = build_gamma(rng.randint(1, 5), rng.randint(2, 6))
-        top = min(18, len(g))
-        keep = set(rng.sample(range(len(g)), rng.randint(max(top - 3, 0), top)))
-        g = delete_vertices(g, set(range(len(g))) - keep)
-        moves = reduce_with_splits(g).moves
-        if any(isinstance(m, (LinkCone, DeletionCone)) for m in moves):
-            out.append(g)
-    return out
 
 
 def shift_columns(g: Graph, dx: int) -> list[tuple[int, int]]:

@@ -435,3 +435,10 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert out.startswith("[PASS] fold_soundness")
+
+    def test_split_soundness_seeded(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "split_soundness", "--seed", "7"
+        )
+        assert code == EXIT_OK
+        assert out.startswith("[PASS] split_soundness")

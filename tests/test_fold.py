@@ -18,7 +18,7 @@ import indcomplex.fold as fold_module
 from indcomplex.fold import (
     Cone, DeletionCone, Fold, LinkCone, ReductionTrace, StripK2, find_fold, reduce_with_splits,
 )
-from indcomplex.graphs import FAMILY_KINDS, delete_vertices
+from indcomplex.graphs import FAMILY_KINDS, GraphError, delete_vertices
 from indcomplex.homology import betti_of_graph, betti_over_field
 
 from conftest import graphs_with_splits, random_grid_subgraph
@@ -137,6 +137,13 @@ class TestFindFold:
         assert find_fold(p3, 0b101) == (0, 2)
         assert find_fold(p3, 0b011) is None
         assert find_fold(p3, 0) is None
+
+    def test_mask_outside_the_graph(self):
+        g = build_gamma(2, 2)
+        with pytest.raises(GraphError, match="0x81"):
+            find_fold(g, 1 << 7 | 1)
+        with pytest.raises(GraphError, match="-0x1"):
+            find_fold(g, -1)
 
     def test_exhaustive_against_pair_scan(self):
         rng = random.Random(5)
@@ -296,6 +303,27 @@ class TestSplits:
         for _ in range(120):
             g = random_grid_subgraph(rng, max_n=8, max_vertices=40)
             replay(g, reduce_with_splits(g))
+
+    def test_long_random_grid_subgraphs(self):
+        # Longer traces: more folds per graph, so the split tests resume
+        # longer scans.
+        rng = random.Random(4111)
+        for _ in range(200):
+            g = random_grid_subgraph(rng, max_n=12, max_vertices=72)
+            replay(g, reduce_with_splits(g))
+
+    def test_split_tests_leave_the_state(self):
+        # Each test runs on a copy; a copy that shared the neighbor list
+        # would change the state it was taken from.
+        for g in graphs_with_splits(seed=3011, count=120):
+            state = fold_module._Alive.of(g)
+            assert not state.reduce(state.alive, [])[1]
+            before = (state.nbrs[:], state.alive, state.iso, state.deg1)
+            for v in range(len(g)):
+                if state.alive >> v & 1:
+                    state.folds_to_cone_without(state.nbrs[v] | 1 << v)
+                    state.folds_to_cone_without(1 << v)
+                    assert (state.nbrs, state.alive, state.iso, state.deg1) == before
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_families(self, kind):
