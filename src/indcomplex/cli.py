@@ -27,7 +27,7 @@ from .graphs import (
 )
 from .fold import reduce_graph
 from .homology import betti_of_family
-from .predictor import predict_family, predict_gamma
+from .predictor import predict_family
 from .transfer import euler_chi, euler_sweep
 from .verify import DEFAULT_SEED, SUITES, run_all
 
@@ -113,16 +113,9 @@ def _cmd_euler(args: argparse.Namespace) -> int:
         _emit(payload)
         return EXIT_OK
     if args.n is None:
-        print("euler: --n is required for methods transfer/predict", file=sys.stderr)
+        print("euler: --n is required for method transfer", file=sys.stderr)
         return EXIT_USAGE
-    if args.method == "transfer":
-        chi = euler_chi(args.n, args.k)
-    else:  # predict
-        if args.k != 6:
-            print("euler: --method predict requires k = 6", file=sys.stderr)
-            return EXIT_USAGE
-        chi = predict_gamma(args.n).chi
-    _emit({"n": args.n, "k": args.k, "chi": chi, "method": args.method})
+    _emit({"n": args.n, "k": args.k, "chi": euler_chi(args.n, args.k), "method": "transfer"})
     return EXIT_OK
 
 
@@ -140,10 +133,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.suite and args.deep:
-        print("verify: --deep adds deep_homology to the full run; "
-              "it takes no --suite", file=sys.stderr)
-        return EXIT_USAGE
     # Open the report file first, so a bad path fails before any suite runs.
     try:
         out = open(args.json_path, "w", encoding="utf-8") if args.json_path else None
@@ -154,7 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.suite:
             reports = [SUITES[args.suite](args.seed)]
         else:
-            reports = run_all(deep=args.deep, seed=args.seed)
+            reports = run_all(seed=args.seed)
         if out:
             json.dump([r.to_json_dict() for r in reports], out, indent=2, sort_keys=True)
             out.write("\n")
@@ -199,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_euler.add_argument("--n", type=int)
     p_euler.add_argument("--k", type=int, default=6)
     p_euler.add_argument(
-        "--method", choices=("transfer", "enumerate", "predict"), default="transfer",
+        "--method", choices=("transfer", "enumerate"), default="transfer",
         help="enumerate counts the faces of the graph exactly, by size (its f-vector)",
     )
     p_euler.add_argument(
@@ -215,9 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", help="run a single suite by name (default: every suite)")
-    p_verify.add_argument(
-        "--deep", action="store_true", help="add the n <= 6 stretch suite to the full run"
-    )
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--json", dest="json_path", help="write the report to a JSON file")
     p_verify.set_defaults(func=_cmd_verify)

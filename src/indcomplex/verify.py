@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .faces import FaceBudgetExceeded, link_graph
 from .fold import DeletionCone, LinkCone, reduce_with_splits
@@ -66,7 +66,7 @@ class VerificationReport:
             "passed": self.passed,
             "runtime_seconds": round(self.runtime, 3),
             "budget_skips": self.budget_skips,
-            "cases": [c.to_json_dict() for c in sorted(self.cases, key=lambda c: c.key)],
+            "cases": [c.to_json_dict() for c in self.cases],
         }
 
 
@@ -80,12 +80,12 @@ def _wedge_dict(wedge: WedgeOfSpheres) -> dict[str, int]:
     return {str(d): m for d, m in sorted(wedge.betti_numbers().items())}
 
 
-def verify_euler_table(max_n: int = 56) -> VerificationReport:
-    """Three-way chi agreement: tabulated values, transfer matrix, predictor."""
+def verify_euler_table() -> VerificationReport:
+    """Three-way chi agreement for n <= 56: table, transfer matrix, predictor."""
     started = time.perf_counter()
     report = VerificationReport("euler_table")
-    transfer = euler_sweep(6, max_n)
-    for n in range(1, max_n + 1):
+    transfer = euler_sweep(6, 56)
+    for n in range(1, 57):
         expected = expected_f6(n)
         actual = {
             "transfer": transfer[n - 1],
@@ -96,12 +96,10 @@ def verify_euler_table(max_n: int = 56) -> VerificationReport:
     return _finish(report, started)
 
 
-def verify_small_homology(
-    max_n: int = 4, coeff: str = "gf2", suite_name: str | None = None
-) -> VerificationReport:
+def verify_small_homology(max_n: int = 6, coeff: str = "gf2") -> VerificationReport:
     """Homology of every family after fold and splits against the closed forms."""
     started = time.perf_counter()
-    report = VerificationReport(suite_name or f"small_homology_{coeff}")
+    report = VerificationReport(f"small_homology_{coeff}")
     for kind in FAMILY_KEYS:
         for n in range(1, max_n + 1):
             key = f"{kind}:n={n}:{coeff}"
@@ -122,9 +120,9 @@ def verify_small_homology(
     return _finish(report, started)
 
 
-def verify_splittings(max_n: int = 5) -> VerificationReport:
+def verify_splittings() -> VerificationReport:
     """Betti additivity of the wedge splittings and the deleted-neighborhood
-    suspension identities, over GF(2)."""
+    suspension identities for n <= 5, over GF(2)."""
     started = time.perf_counter()
     report = VerificationReport("splittings")
 
@@ -142,12 +140,12 @@ def verify_splittings(max_n: int = 5) -> VerificationReport:
             Case(key, _wedge_dict(expected), _wedge_dict(actual), expected == actual)
         )
 
-    for n in range(4, max_n + 1):
+    for n in range(4, 6):
         # a(n) = x(n) v S^4 b(n-3), and a(n) - N[v_n] against S^3 b(n-3)
         b = fam("b", n - 3)
         add_case(f"a_split:n={n}", fam("x", n).wedge(b.suspend(4)), fam("a", n))
         add_case(f"a_deleted_nbhd:n={n}", b.suspend(3), deleted_nbhd("a", n))
-    for n in range(5, max_n + 1):
+    for n in range(5, 6):
         # b(n) = y(n) v S^6 a(n-4), gamma(n) = y(n) v 2 S^6 a(n-4),
         # and b(n) - N[v_n] against S^5 a(n-4)
         a, y = fam("a", n - 4), fam("y", n)
@@ -157,28 +155,40 @@ def verify_splittings(max_n: int = 5) -> VerificationReport:
     return _finish(report, started)
 
 
+def _soundness(
+    suite: str, corpus: Iterable[tuple[str, Graph]], started: float
+) -> VerificationReport:
+    """Betti numbers over GF(2) of each keyed graph, enumerated directly and
+    after fold reduction and splits, must agree."""
+    report = VerificationReport(suite)
+    for key, g in corpus:
+        direct = WedgeOfSpheres(betti_over_field(g, 2).reduced_betti)
+        reduced = WedgeOfSpheres(betti_of_graph(g, coeff="gf2").reduced_betti)
+        report.cases.append(
+            Case(key, _wedge_dict(direct), _wedge_dict(reduced), direct == reduced)
+        )
+    return _finish(report, started)
+
+
 def verify_fold_soundness(
     samples: int = 200, seed: int = DEFAULT_SEED, max_vertices: int = 20
 ) -> VerificationReport:
     """Betti numbers before and after fold reduction and splits agree on a
     seeded corpus of random induced subgraphs of small grids."""
     started = time.perf_counter()
-    report = VerificationReport("fold_soundness")
     rng = random.Random(seed)
     hosts = {n: build_gamma(n, 6) for n in range(1, 5)}
-    for i in range(samples):
-        n = rng.randint(1, 4)
-        g = hosts[n]
-        size = rng.randint(0, min(max_vertices, len(g)))
-        keep = sorted(rng.sample(range(len(g)), size))
-        sub = delete_vertices(g, set(range(len(g))) - set(keep))
-        direct = WedgeOfSpheres(betti_over_field(sub, 2).reduced_betti)
-        reduced = WedgeOfSpheres(betti_of_graph(sub, coeff="gf2").reduced_betti)
-        key = f"sample={i:03d}:n={n}:size={size}"
-        report.cases.append(
-            Case(key, _wedge_dict(direct), _wedge_dict(reduced), direct == reduced)
-        )
-    return _finish(report, started)
+
+    def corpus():
+        for i in range(samples):
+            n = rng.randint(1, 4)
+            g = hosts[n]
+            size = rng.randint(0, min(max_vertices, len(g)))
+            keep = rng.sample(range(len(g)), size)
+            sub = delete_vertices(g, set(range(len(g))) - set(keep))
+            yield f"sample={i:03d}:n={n}:size={size}", sub
+
+    return _soundness("fold_soundness", corpus(), started)
 
 
 def graphs_with_splits(seed: int, count: int) -> list[Graph]:
@@ -199,19 +209,16 @@ def graphs_with_splits(seed: int, count: int) -> list[Graph]:
     return out
 
 
-def verify_split_soundness(samples: int = 200, seed: int = DEFAULT_SEED) -> VerificationReport:
+def verify_split_soundness(seed: int = DEFAULT_SEED) -> VerificationReport:
     """Betti numbers before and after fold reduction and splits agree on a
-    seeded corpus of graphs that each get at least one split move."""
+    seeded corpus of 200 graphs that each get at least one split move."""
     started = time.perf_counter()
-    report = VerificationReport("split_soundness")
-    for i, g in enumerate(graphs_with_splits(seed, samples)):
-        direct = WedgeOfSpheres(betti_over_field(g, 2).reduced_betti)
-        reduced = WedgeOfSpheres(betti_of_graph(g, coeff="gf2").reduced_betti)
-        key = f"sample={i:03d}:size={len(g)}"
-        report.cases.append(
-            Case(key, _wedge_dict(direct), _wedge_dict(reduced), direct == reduced)
-        )
-    return _finish(report, started)
+    corpus = graphs_with_splits(seed, 200)
+    return _soundness(
+        "split_soundness",
+        ((f"sample={i:03d}:size={len(g)}", g) for i, g in enumerate(corpus)),
+        started,
+    )
 
 
 # Every suite takes the seed; only fold_soundness and split_soundness draw
@@ -222,13 +229,10 @@ SUITES: dict[str, Callable[[int], VerificationReport]] = {
     "small_homology_int": lambda seed: verify_small_homology(coeff="int"),
     "splittings": lambda seed: verify_splittings(),
     "fold_soundness": lambda seed: verify_fold_soundness(seed=seed),
-    "split_soundness": lambda seed: verify_split_soundness(seed=seed),
-    "deep_homology": lambda seed: verify_small_homology(max_n=6, suite_name="deep_homology"),
+    "split_soundness": verify_split_soundness,
 }
 
 
-def run_all(deep: bool = False, seed: int = DEFAULT_SEED) -> list[VerificationReport]:
-    """Every suite in SUITES order; the stretch suite deep_homology only if deep."""
-    return [
-        suite(seed) for name, suite in SUITES.items() if deep or name != "deep_homology"
-    ]
+def run_all(seed: int = DEFAULT_SEED) -> list[VerificationReport]:
+    """Every suite, in SUITES order."""
+    return [suite(seed) for suite in SUITES.values()]

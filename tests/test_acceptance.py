@@ -1,11 +1,9 @@
 """End-to-end acceptance checks.
 
 Each test prints a single [PASS]/[FAIL] line for its criterion; all
-comparisons are exact integer equalities.  Criterion 4 is the stretch
-check on the 5-by-6 grid and carries the `deep` marker.
+comparisons are exact integer equalities.  Criteria 3, 5 and 6 run the
+verify suites as the CLI does, through SUITES.
 """
-
-import pytest
 
 from indcomplex import (
     Family,
@@ -19,7 +17,7 @@ from indcomplex import (
     predict_gamma,
 )
 from indcomplex.predictor import F6_PERIOD
-from indcomplex.verify import verify_fold_soundness, verify_small_homology, verify_splittings
+from indcomplex.verify import DEFAULT_SEED, SUITES
 
 
 def report(criterion, label, ok):
@@ -41,15 +39,14 @@ def test_criterion_2_predictor_chi_agreement():
 
 
 def test_criterion_3_brute_force_small_homology():
-    # 5 families x n = 1..4; the "int" suite also requires zero torsion.
-    results = [verify_small_homology(max_n=4, coeff=coeff) for coeff in ("gf2", "int")]
+    # 5 families x n = 1..6; the "int" suite also requires zero torsion.
+    results = [SUITES[f"small_homology_{coeff}"](DEFAULT_SEED) for coeff in ("gf2", "int")]
     ok = all(
-        r.passed and not r.budget_skips and len(r.cases) == 20 for r in results
+        r.passed and not r.budget_skips and len(r.cases) == 30 for r in results
     )
-    report(3, "GF(2) and integral homology match closed forms for n=1..4", ok)
+    report(3, "GF(2) and integral homology match closed forms for n=1..6", ok)
 
 
-@pytest.mark.deep
 def test_criterion_4_deep_gamma_5():
     profile = betti_of_family(Family("gamma", 5), coeff="gf2")
     ok = profile.reduced_betti == predict_gamma(5).betti_numbers() == {7: 1}
@@ -57,13 +54,13 @@ def test_criterion_4_deep_gamma_5():
 
 
 def test_criterion_5_splitting_additivity():
-    result = verify_splittings(max_n=5)
+    result = SUITES["splittings"](DEFAULT_SEED)
     ok = result.passed and not result.budget_skips and len(result.cases) > 0
     report(5, f"splitting identities hold for n<=5 ({len(result.cases)} cases)", ok)
 
 
 def test_criterion_6_fold_soundness():
-    result = verify_fold_soundness(samples=200, seed=1729, max_vertices=20)
+    result = SUITES["fold_soundness"](DEFAULT_SEED)
     ok = result.passed and not result.budget_skips and len(result.cases) == 200
     report(6, "fold reduction preserves Betti numbers on 200 seeded samples", ok)
 

@@ -153,7 +153,6 @@ class TestHomology:
         assert out == ""
         assert "out of memory" in err
 
-    @pytest.mark.deep
     def test_a7_under_1gib_address_space(self):
         # Splits leave 322 of a(7)'s 0.84 M fold-residual faces; the cap
         # applies to the child process only.
@@ -163,7 +162,6 @@ class TestHomology:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["reduced_betti"] == {"9": 2}
 
-    @pytest.mark.deep
     def test_gamma6_integral_under_1gib_address_space(self):
         args = ["homology", "--family", "gamma", "--n", "6", "--coeff", "int"]
         proc = run_capped(["-m", "indcomplex.cli", *args], 1 << 30)
@@ -205,18 +203,6 @@ class TestEuler:
         code, out, _ = run(capsys, "euler", "--n", "10")
         assert code == EXIT_OK
         assert json.loads(out) == {"n": 10, "k": 6, "chi": 6, "method": "transfer"}
-
-    def test_predict_method(self, capsys):
-        code, out, _ = run(capsys, "euler", "--n", "8", "--method", "predict")
-        assert code == EXIT_OK
-        assert json.loads(out)["chi"] == -4
-
-    def test_predict_requires_k6(self, capsys):
-        code, _, err = run(
-            capsys, "euler", "--n", "3", "--k", "4", "--method", "predict"
-        )
-        assert code == EXIT_USAGE
-        assert "k = 6" in err
 
     def test_transfer_requires_n(self, capsys):
         code, _, err = run(capsys, "euler")
@@ -286,7 +272,8 @@ class TestEuler:
         assert json.loads(out)["chi"] == json.loads(predicted)["chi"]
 
     @pytest.mark.parametrize(
-        "extra", [("--n", "9"), ("--method", "predict"), ("--method", "enumerate")]
+        "extra",
+        [("--n", "9"), ("--n", "9", "--method", "transfer"), ("--method", "enumerate")],
     )
     def test_sweep_rejects_n_and_other_methods(self, capsys, extra):
         code, out, err = run(capsys, "euler", "--sweep", "1..3", "--k", "4", *extra)
@@ -309,7 +296,6 @@ class TestEuler:
             ("--n", "3"),
             ("--method", "enumerate", "--n", "2"),
             ("--sweep", "1..3"),
-            ("--method", "predict"),
         ],
     )
     def test_input_only_for_enumerate(self, capsys, extra):
@@ -413,11 +399,11 @@ class TestVerify:
         assert exc.value.code == EXIT_USAGE
         assert "--all" in capsys.readouterr().err
 
-    def test_suite_refuses_deep(self, capsys):
-        code, out, err = run(capsys, "verify", "--suite", "euler_table", "--deep")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "--deep" in err
+    def test_deep_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--deep", "--suite", "euler_table"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--deep" in capsys.readouterr().err
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         bad = VerificationReport(
