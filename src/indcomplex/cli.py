@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from itertools import islice
 
 from .faces import FaceBudgetExceeded, euler_from_fvector, f_vector
 from .graphs import (
@@ -28,7 +29,7 @@ from .graphs import (
 from .fold import reduce_graph
 from .homology import betti_of_family
 from .predictor import predict_family
-from .transfer import euler_chi, euler_sweep
+from .transfer import _chi_terms, build_transfer_model, euler_chi
 from .verify import DEFAULT_SEED, SUITES, run_all
 
 EXIT_OK = 0
@@ -95,11 +96,11 @@ def _cmd_euler(args: argparse.Namespace) -> int:
                   "it takes no --n and no other --method", file=sys.stderr)
             return EXIT_USAGE
         lo, hi = args.sweep
-        values = euler_sweep(args.k, hi)
+        build_transfer_model(args.k)  # a refused width exits before the header
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", "chi"])
-        for n in range(lo, hi + 1):
-            writer.writerow([n, values[n - 1]])
+        for n, chi in enumerate(islice(_chi_terms(args.k), lo - 1, hi), lo):
+            writer.writerow([n, chi])
         return EXIT_OK
     if args.method == "enumerate":
         if args.n is not None:
@@ -127,12 +128,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite and args.suite not in SUITES:
-        print(
-            f"verify: unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     # Open the report file first, so a bad path fails before any suite runs.
     try:
         out = open(args.json_path, "w", encoding="utf-8") if args.json_path else None
@@ -203,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.set_defaults(func=_cmd_reduce)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("--suite", help="run a single suite by name (default: every suite)")
+    p_verify.add_argument(
+        "--suite", choices=SUITES, help="run a single suite by name (default: every suite)"
+    )
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--json", dest="json_path", help="write the report to a JSON file")
     p_verify.set_defaults(func=_cmd_verify)
@@ -229,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         detail = str(exc) or "the input is too large for this machine"
         print(f"out of memory: {detail}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GraphError, ValueError) as exc:
+    except ValueError as exc:  # GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

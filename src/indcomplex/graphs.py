@@ -136,10 +136,6 @@ class Graph:
             mask |= 1 << v
         return frozenset(set_bits(mask))
 
-    def degree(self, v: int) -> int:
-        self._check_index(v)
-        return self.neighbor_masks[v].bit_count()
-
     def _check_index(self, v: int) -> None:
         if not (0 <= v < len(self.vertices)):
             raise GraphError(f"vertex index {v} out of range")
@@ -147,8 +143,6 @@ class Graph:
 
 def build_gamma(n: int, k: int) -> Graph:
     """The n-by-k grid graph: nk vertices, edges at L1 distance 1."""
-    if n < 1 or k < 1:
-        raise GraphError(f"grid dimensions must be positive, got ({n}, {k})")
     return _grid(n, k, Family("gamma", n, k), ())
 
 

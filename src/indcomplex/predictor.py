@@ -23,7 +23,6 @@ F6_PERIOD = (
     0, 2, 2, -2, 0, 4, 0, -4, 2, 6, -2, -4, 4, 4,
     -4, -2, 6, 2, -4, 0, 4, 0, -2, 2, 2, 0, 0, 0,
 )
-F6_PERIOD_LENGTH = 28
 
 
 def decompose_odd(n: int) -> tuple[int, int]:
@@ -136,4 +135,4 @@ def expected_f6(n: int) -> int:
     """Tabulated chi(I(Gamma_{n,6})), extended by the period of 28."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return F6_PERIOD[(n - 1) % F6_PERIOD_LENGTH]
+    return F6_PERIOD[(n - 1) % len(F6_PERIOD)]

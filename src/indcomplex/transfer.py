@@ -64,11 +64,6 @@ def _path_sets(k: int) -> list[list[int]]:
     return paths[: k + 1]
 
 
-def column_states(k: int) -> list[int]:
-    """Row-subset bitmasks independent in a path of k rows, sorted ascending."""
-    return _path_sets(k)[k]
-
-
 @dataclass(frozen=True)
 class TransferModel:
     """Signed transfer matrix over column states, applied cell by cell.
@@ -111,9 +106,6 @@ class TransferModel:
         vec.pop()
         return vec
 
-    def initial(self) -> list[int]:
-        return list(self.signs)
-
     @cached_property
     def compatible(self) -> tuple[tuple[int, ...], ...]:
         states = self.states
@@ -122,7 +114,9 @@ class TransferModel:
         )
 
 
-@lru_cache(maxsize=None)
+# One width at a time: the check below reads the whole address space, so
+# tables kept for other widths could make an admitted width run out of memory.
+@lru_cache(maxsize=1)
 def build_transfer_model(k: int) -> TransferModel:
     """The width-k model, refused before any table is built if they would not fit."""
     # Fib(k + 1), Fib(k + 2), from the 1-row column up; the loop stops as
@@ -222,7 +216,7 @@ def _chi_terms(k: int) -> Iterator[int]:
     """
     model = build_transfer_model(k)
     order = len(model.states) + 1
-    vec = model.initial()
+    vec = list(model.signs)
     held: list[int] = []
     while True:
         chi = 1 - sum(vec)

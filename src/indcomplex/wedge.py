@@ -8,7 +8,7 @@ k-fold suspension of the empty complex is S^{k-1}.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class WedgeOfSpheres:
@@ -16,22 +16,19 @@ class WedgeOfSpheres:
 
     __slots__ = ("_items",)
 
-    def __init__(self, multiplicity: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        pairs = multiplicity.items() if isinstance(multiplicity, Mapping) else multiplicity
-        acc: dict[int, int] = {}
-        for dim, mult in pairs:
+    def __init__(self, multiplicity: Mapping[int, int]):
+        for dim, mult in multiplicity.items():
             if mult < 0:
                 raise ValueError(f"negative multiplicity {mult} at dimension {dim}")
-            if mult:
-                acc[dim] = acc.get(dim, 0) + mult
-        object.__setattr__(self, "_items", tuple(sorted(acc.items())))
+        items = sorted((d, m) for d, m in multiplicity.items() if m)
+        object.__setattr__(self, "_items", tuple(items))
 
     def __setattr__(self, name, value):
         raise AttributeError("WedgeOfSpheres is immutable")
 
     @classmethod
     def point(cls) -> "WedgeOfSpheres":
-        return cls()
+        return cls({})
 
     @classmethod
     def sphere(cls, dim: int) -> "WedgeOfSpheres":

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from indcomplex import (
 from indcomplex.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from indcomplex.graphs import graph_to_json_dict
 from indcomplex.linalg import MR_BOUND
+from indcomplex.transfer import build_transfer_model
 from indcomplex.verify import Case, VerificationReport
 
 from conftest import run_capped
@@ -264,6 +266,29 @@ class TestEuler:
         rows = [tuple(map(int, line.split(","))) for line in out.strip().splitlines()[1:]]
         assert rows == [(n, expected_f6(n)) for n in range(99_990, 100_001)]
 
+    def test_sweep_holds_only_the_rows_it_prints(self, capsys):
+        # A list of the first 200,000 terms alone takes 1.6 MB.
+        build_transfer_model(6)
+        tracemalloc.start()
+        try:
+            code = main(["euler", "--sweep", "199990..200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        rows = [tuple(map(int, line.split(","))) for line in out.strip().splitlines()[1:]]
+        assert rows == [(n, expected_f6(n)) for n in range(199_990, 200_001)]
+        assert peak < 1 << 20
+
+    def test_sweep_refuses_a_wide_model_before_the_header(self):
+        proc = run_capped(
+            ["-m", "indcomplex.cli", "euler", "--k", "26", "--sweep", "1..3"], 512 << 20
+        )
+        assert proc.returncode == EXIT_BUDGET, proc.stderr
+        assert proc.stdout == ""
+        assert "width-26 transfer tables" in proc.stderr
+
     def test_transfer_agrees_with_predict_at_n_100000(self, capsys):
         code, out, _ = run(capsys, "euler", "--n", "100000", "--method", "transfer")
         assert code == EXIT_OK
@@ -369,9 +394,10 @@ class TestVerify:
         assert out.startswith("[PASS] euler_table: 56 cases")
 
     def test_unknown_suite(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "nope")
-        assert code == EXIT_USAGE
-        assert "unknown suite" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "nope"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_json_report(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from indcomplex import build_gamma, euler_chi, euler_sweep, expected_f6, period_detect, transfer
 from indcomplex.faces import euler_from_fvector, f_vector
-from indcomplex.transfer import _recurrence, build_transfer_model, column_states
-from indcomplex.predictor import F6_PERIOD, F6_PERIOD_LENGTH
+from indcomplex.transfer import _recurrence, build_transfer_model
+from indcomplex.predictor import F6_PERIOD
 
 from conftest import run_capped
 
@@ -16,7 +16,7 @@ from conftest import run_capped
 def reference_sweep(k, max_n):
     """chi for n = 1..max_n by stepping the model once per column, with no recurrence."""
     model = build_transfer_model(k)
-    vec = model.initial()
+    vec = list(model.signs)
     out = [1 - sum(vec)]
     for _ in range(max_n - 1):
         vec = model.step(vec)
@@ -45,9 +45,9 @@ def entry(model, s, t):
 
 class TestColumnStates:
     def test_small_counts(self):
-        assert column_states(1) == [0, 1]
-        assert len(column_states(2)) == 3
-        assert len(column_states(6)) == 21
+        assert build_transfer_model(1).states == (0, 1)
+        assert len(build_transfer_model(2).states) == 3
+        assert len(build_transfer_model(6).states) == 21
 
     @pytest.mark.parametrize("k", range(1, 12))
     def test_counts_follow_fibonacci(self, k):
@@ -55,15 +55,15 @@ class TestColumnStates:
         a, b = 1, 1
         for _ in range(k):
             a, b = b, a + b
-        assert len(column_states(k)) == b
+        assert len(build_transfer_model(k).states) == b
 
     def test_no_adjacent_rows(self):
-        for s in column_states(8):
+        for s in build_transfer_model(8).states:
             assert s & (s << 1) == 0
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            column_states(0)
+            build_transfer_model(0)
         # Width 26 needs about 1.06 GB of cell tables at BYTES_PER_ENTRY, so
         # under 512 MiB it is refused before any table is built.
         started = time.perf_counter()
@@ -132,9 +132,18 @@ class TestTransferModel:
                 for t in range(len(model.states))
             )
 
-    def test_initial_is_signs(self):
-        model = build_transfer_model(4)
-        assert model.initial() == list(model.signs)
+    def test_cache_holds_one_width(self):
+        build_transfer_model(5)
+        build_transfer_model(7)
+        assert build_transfer_model.cache_info().currsize == 1
+
+    @pytest.mark.deep
+    def test_widths_18_to_24_in_one_process_under_400mib(self):
+        # The width check admits width 24 under 400 MiB (about 203 MB peak
+        # RSS alone); tables kept for widths 18..23 would exhaust the rest.
+        script = "from indcomplex import euler_sweep\nfor k in range(18, 25): euler_sweep(k, 3)"
+        proc = run_capped(["-c", script], 400 << 20)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEulerChi:
@@ -159,7 +168,7 @@ class TestEulerChi:
         assert sweep == [euler_chi(n, 6) for n in range(1, 21)]
 
     def test_tabulated_period_values(self):
-        assert tuple(euler_sweep(6, F6_PERIOD_LENGTH)) == F6_PERIOD
+        assert tuple(euler_sweep(6, len(F6_PERIOD))) == F6_PERIOD
 
     def test_transpose_symmetry(self):
         # chi(n, k) = chi(k, n) since the grids are isomorphic.

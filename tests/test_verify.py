@@ -21,3 +21,12 @@ def test_run_all_runs_every_suite_in_order(monkeypatch):
         )
     assert [r.suite for r in run_all(seed=7)] == list(SUITES)
     assert calls == [(name, 7) for name in SUITES]
+
+
+@pytest.mark.parametrize("coeff", ["gf2", "int"])
+def test_skipped_case_reports_the_expected_value_of_a_run(coeff, face_budget_of):
+    full = {c.key: c.expected for c in verify.verify_small_homology(coeff=coeff).cases}
+    face_budget_of(3)
+    skipped = [c for c in verify.verify_small_homology(coeff=coeff).cases if c.skipped]
+    assert len(skipped) == 6
+    assert all(c.expected == full[c.key] for c in skipped)
