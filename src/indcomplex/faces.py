@@ -10,10 +10,7 @@ exact count.
 
 from __future__ import annotations
 
-import os
-import resource
-
-from .graphs import Graph, delete_vertices
+from .graphs import Graph, GraphError, address_space, delete_vertices
 
 # Peak memory per face, with headroom.  Peak RSS over faces, interpreter
 # included, from face lists through elimination (CPython 3.11, x86-64) on fold
@@ -23,14 +20,6 @@ BYTES_PER_FACE = 512
 
 class FaceBudgetExceeded(RuntimeError):
     """Enumeration would exceed the face budget."""
-
-
-def address_space() -> int:
-    """Bytes the process may use: the RLIMIT_AS soft limit, else physical RAM."""
-    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if limit == resource.RLIM_INFINITY:
-        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    return limit
 
 
 def face_budget() -> int:
@@ -113,4 +102,6 @@ def euler_from_fvector(counts: tuple[int, ...]) -> int:
 
 def link_graph(g: Graph, v: int) -> Graph:
     """G - N[v]; its independence complex is the link of v in I(G)."""
-    return delete_vertices(g, g.neighborhood(v, closed=True))
+    if not 0 <= v < len(g):
+        raise GraphError(f"vertex index {v} out of range")
+    return delete_vertices(g, g.neighbor_masks[v] | 1 << v)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .graphs import Graph, GraphError, Vertex, delete_vertices, graph_to_json_dict, set_bits
+from .graphs import Graph, GraphError, Vertex, delete_vertices, graph_to_json_dict
 from .wedge import WedgeOfSpheres
 
 
@@ -172,7 +172,7 @@ class _Alive:
         everything = (1 << len(self.host)) - 1
         if self.alive == everything:
             return self.host
-        return delete_vertices(self.host, set_bits(everything ^ self.alive))
+        return delete_vertices(self.host, everything ^ self.alive)
 
     def remove(self, gone: int) -> int:
         """Delete the vertices of the mask gone, all alive.  Returns the

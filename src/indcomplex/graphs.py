@@ -5,14 +5,17 @@ coordinates, edges between L1-distance-1 pairs) and four families of induced
 subgraphs of the n-by-6 grid obtained by removing vertices from the last
 column.  Vertices are kept in column-major lexicographic order so every
 downstream computation (fold scanning, face enumeration) is deterministic.
-An induced subgraph can also be named by a vertex bitmask over a host graph's
-neighbor masks; `set_bits` walks such a mask.
+A set of vertices is a mask: bit i stands for the vertex of index i, and a
+graph keeps each vertex's neighbors as such a mask.
 """
 
 from __future__ import annotations
 
+import os
+import resource
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Vertex = tuple[int, int]
 
@@ -26,12 +29,26 @@ class GraphError(ValueError):
     """Invalid graph construction or vertex index."""
 
 
-def set_bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def address_space() -> int:
+    """Bytes the process may use: the RLIMIT_AS soft limit, else physical RAM."""
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit == resource.RLIM_INFINITY:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return limit
+
+
+def _check_masks_fit(vertices: int, bits: int) -> None:
+    """Refuse, before any is built, neighbor masks of at most `bits` bits in
+    all that may not fit in the address space; each is an int of
+    sys.getsizeof(1) bytes plus one digit per further bits_per_digit bits."""
+    size, per = sys.getsizeof(1), sys.int_info.bits_per_digit
+    need = vertices * size + bits // per * (sys.getsizeof(1 << per) - size)
+    limit = address_space()
+    if need > limit:
+        raise MemoryError(
+            f"the neighbor masks of {vertices} vertices may need {need} bytes, "
+            f"more than the {limit} bytes of address space"
+        )
 
 
 @dataclass(frozen=True)
@@ -128,18 +145,6 @@ class Graph:
         except KeyError:
             raise GraphError(f"vertex {vertex} not in graph") from None
 
-    def neighborhood(self, v: int, closed: bool = False) -> frozenset[int]:
-        """N(v) as a set of vertex indices; N[v] = N(v) | {v} if closed."""
-        self._check_index(v)
-        mask = self.neighbor_masks[v]
-        if closed:
-            mask |= 1 << v
-        return frozenset(set_bits(mask))
-
-    def _check_index(self, v: int) -> None:
-        if not (0 <= v < len(self.vertices)):
-            raise GraphError(f"vertex index {v} out of range")
-
 
 def build_gamma(n: int, k: int) -> Graph:
     """The n-by-k grid graph: nk vertices, edges at L1 distance 1."""
@@ -156,6 +161,10 @@ def build_family(f: Family) -> Graph:
 def _grid(n: int, k: int, family: Family, removed: Iterable[Vertex]) -> Graph:
     """The n-by-k grid minus the vertices removed, as one Graph tagged family."""
     drop = set(removed)
+    # Vertex i's highest neighbor is at most k places above it (one place
+    # when there is one column), so its mask has at most i + reach + 1 bits.
+    count, reach = n * k - len(drop), k if n > 1 else 1
+    _check_masks_fit(count, count * (count + 1) // 2 + count * reach)
     vertices = [(x, y) for x in range(1, n + 1) for y in range(1, k + 1) if (x, y) not in drop]
     index = {v: i for i, v in enumerate(vertices)}
     edges = []
@@ -166,12 +175,12 @@ def _grid(n: int, k: int, family: Family, removed: Iterable[Vertex]) -> Graph:
     return Graph(vertices, edges, family=family)
 
 
-def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:
-    """Induced subgraph on V - s; vertex order is preserved, g is unmodified."""
-    drop = set(s)
-    for v in drop:
-        g._check_index(v)
-    keep = [i for i in range(len(g.vertices)) if i not in drop]
+def delete_vertices(g: Graph, drop: int) -> Graph:
+    """Induced subgraph on the vertices outside the mask drop; vertex order is
+    preserved, the family tag is dropped and g is unmodified."""
+    if drop >> len(g):  # a negative mask too
+        raise GraphError(f"vertex mask {drop:#x} has bits outside the {len(g)} vertices of g")
+    keep = [i for i in range(len(g)) if not drop >> i & 1]
     remap = {old: new for new, old in enumerate(keep)}
     vertices = [g.vertices[i] for i in keep]
     edges = [
@@ -205,6 +214,8 @@ def graph_from_json_dict(data: dict) -> Graph:
         edges = _int_pairs(data["edges"], "edge")
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
+    # Each mask has at most one bit per vertex.
+    _check_masks_fit(len(vertices), len(vertices) ** 2)
     family = None
     if data.get("family"):
         try:

@@ -2,9 +2,10 @@
 
 Every value is a wedge of spheres.  For the n-by-6 grid the answer depends
 on the decomposition n = 14m + 2k + 1 (odd) or n = 14m + 2k (even) with
-0 <= k <= 6, together with small coefficient tables; the x/y families have
-single-sphere answers by parity, the a family has closed forms, and the b
-family is evaluated through its recursion b(n) = y(n) v S^6 a(n-4).
+0 <= k <= 6, that is (m, k) = divmod(n // 2, 7), together with small
+coefficient tables; the x/y families have single-sphere answers by parity,
+the a family has closed forms, and the b family is evaluated through its
+recursion b(n) = y(n) v S^6 a(n-4).
 """
 
 from __future__ import annotations
@@ -23,22 +24,6 @@ F6_PERIOD = (
     0, 2, 2, -2, 0, 4, 0, -4, 2, 6, -2, -4, 4, 4,
     -4, -2, 6, 2, -4, 0, 4, 0, -2, 2, 2, 0, 0, 0,
 )
-
-
-def decompose_odd(n: int) -> tuple[int, int]:
-    """Write odd n as 14m + 2k + 1 with m >= 0 and 0 <= k <= 6."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"expected a positive odd n, got {n}")
-    r = (n - 1) // 2
-    return r // 7, r % 7
-
-
-def decompose_even(n: int) -> tuple[int, int]:
-    """Write even n as 14m + 2k with m >= 0 and 0 <= k <= 6."""
-    if n < 2 or n % 2 == 1:
-        raise ValueError(f"expected a positive even n, got {n}")
-    r = n // 2
-    return r // 7, r % 7
 
 
 def _band(lo: int, hi: int, mult: int) -> WedgeOfSpheres:
@@ -62,12 +47,12 @@ def _predict_a(n: int) -> WedgeOfSpheres:
     if n == 2:
         return WedgeOfSpheres.sphere(2)
     if n % 2 == 1:
-        m, k = decompose_odd(n)
+        m, k = divmod(n // 2, 7)
         base = 20 * m + 3 * k
         return _band(base + 1, 21 * m + 3 * k, 3).wedge(
             WedgeOfSpheres({base: A_COEFF[k]})
         )
-    m, k = decompose_even(n)
+    m, k = divmod(n // 2, 7)
     top = 21 * m + 3 * k - 1
     head = WedgeOfSpheres({top: 2})
     if k <= 1:
@@ -110,7 +95,7 @@ def predict_gamma(n: int) -> WedgeOfSpheres:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n % 2 == 1:
-        m, k = decompose_odd(n)
+        m, k = divmod(n // 2, 7)
         n_prime = 21 * m + 3 * k + 1
         return WedgeOfSpheres.sphere(n_prime).wedge(
             _band(n_prime - m, n_prime - 1, 6),
@@ -118,7 +103,7 @@ def predict_gamma(n: int) -> WedgeOfSpheres:
         )
     if n <= 6:
         return {2: WedgeOfSpheres.sphere(2), 4: WedgeOfSpheres({5: 3}), 6: WedgeOfSpheres({8: 3})}[n]
-    m, k = decompose_even(n)
+    m, k = divmod(n // 2, 7)
     n_prime = 21 * m + 3 * k - 1
     head = WedgeOfSpheres({n_prime: 5})
     if k <= 3:

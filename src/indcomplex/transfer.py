@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterator
 
-from .faces import address_space
+from .graphs import address_space
 
 # Peak memory per entry of k * Fib(k + 2), with headroom: building the tables
 # grew peak RSS by 69-72 B an entry at k = 18..24 (CPython 3.11, x86-64).
@@ -118,7 +118,9 @@ class TransferModel:
 # tables kept for other widths could make an admitted width run out of memory.
 @lru_cache(maxsize=1)
 def build_transfer_model(k: int) -> TransferModel:
-    """The width-k model, refused before any table is built if they would not fit."""
+    """The width-k model, refused before any table is built if they would not
+    fit.  An admitted width first drops the cached one, so two are never held
+    at once, and `cache_info()` counts hits and misses since the last miss."""
     # Fib(k + 1), Fib(k + 2), from the 1-row column up; the loop stops as
     # soon as the tables pass the limit, so a huge k is refused at once.
     limit = address_space()
@@ -130,6 +132,7 @@ def build_transfer_model(k: int) -> TransferModel:
                 f"the width-{k} transfer tables need more than the {limit} bytes "
                 "of address space"
             )
+    _drop_cached_width()
     paths = _path_sets(k)
     states = tuple(paths[k])
     signs = tuple(-1 if s.bit_count() % 2 else 1 for s in states)
@@ -153,6 +156,10 @@ def build_transfer_model(k: int) -> TransferModel:
         )
         level = clear + placed
     return TransferModel(k, states, signs, tuple(cells))
+
+
+# Bound once, so that a tracer rebinding `build_transfer_model` keeps the drop.
+_drop_cached_width = build_transfer_model.cache_clear
 
 
 def _recurrence(seq: list[int], order: int) -> list[int] | None:

@@ -183,8 +183,8 @@ def verify_fold_soundness(
             n = rng.randint(1, 4)
             g = hosts[n]
             size = rng.randint(0, min(max_vertices, len(g)))
-            keep = rng.sample(range(len(g)), size)
-            sub = delete_vertices(g, set(range(len(g))) - set(keep))
+            keep = sum(1 << i for i in rng.sample(range(len(g)), size))
+            sub = delete_vertices(g, (1 << len(g)) - 1 ^ keep)
             yield f"sample={i:03d}:n={n}:size={size}", sub
 
     return _soundness("fold_soundness", corpus(), started)
@@ -200,8 +200,8 @@ def graphs_with_splits(seed: int, count: int) -> list[Graph]:
     while len(out) < count:
         g = build_gamma(rng.randint(1, 5), rng.randint(2, 6))
         top = min(18, len(g))
-        keep = set(rng.sample(range(len(g)), rng.randint(max(top - 3, 0), top)))
-        g = delete_vertices(g, set(range(len(g))) - keep)
+        keep = sum(1 << i for i in rng.sample(range(len(g)), rng.randint(max(top - 3, 0), top)))
+        g = delete_vertices(g, (1 << len(g)) - 1 ^ keep)
         moves = reduce_with_splits(g).moves
         if any(isinstance(m, (LinkCone, DeletionCone)) for m in moves):
             out.append(g)

@@ -27,8 +27,8 @@ def random_grid_subgraph(rng: random.Random, max_n: int = 4, max_vertices: int =
     n = rng.randint(1, max_n)
     g = build_gamma(n, 6)
     size = rng.randint(0, min(max_vertices, len(g)))
-    keep = set(rng.sample(range(len(g)), size))
-    return delete_vertices(g, set(range(len(g))) - keep)
+    keep = sum(1 << i for i in rng.sample(range(len(g)), size))
+    return delete_vertices(g, (1 << len(g)) - 1 ^ keep)
 
 
 def shift_columns(g: Graph, dx: int) -> list[tuple[int, int]]:

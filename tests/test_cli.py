@@ -155,6 +155,15 @@ class TestHomology:
         assert out == ""
         assert "out of memory" in err
 
+    def test_graph_whose_masks_do_not_fit_exits_3(self, capsys, monkeypatch):
+        # The path's neighbor masks alone take about 95 MiB.
+        monkeypatch.setattr("indcomplex.graphs.address_space", lambda: 64 << 20)
+        with pytest.raises(MemoryError, match="neighbor masks of 40000 vertices"):
+            build_gamma(1, 40000)
+        code, out, err = run(capsys, "homology", "--family", "gamma", "--n", "1", "--k", "40000")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert "neighbor masks" in err
+
     def test_a7_under_1gib_address_space(self):
         # Splits leave 322 of a(7)'s 0.84 M fold-residual faces; the cap
         # applies to the child process only.

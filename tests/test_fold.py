@@ -67,14 +67,14 @@ def reference_reduce(g):
             a, b = k2
             moves.append(StripK2(current.vertices[a], current.vertices[b]))
             suspensions += 1
-            current = delete_vertices(current, [a, b])
+            current = delete_vertices(current, 1 << a | 1 << b)
             continue
         fold = pair_scan_fold(current, full(current))
         if fold is None:
             break
         v, w = fold
         moves.append(Fold(current.vertices[v], current.vertices[w]))
-        current = delete_vertices(current, [w])
+        current = delete_vertices(current, 1 << w)
     return ReductionTrace(tuple(moves), suspensions, False, current)
 
 
@@ -84,36 +84,36 @@ def replay(g, trace):
     split's contractible subgraph must make reduce_graph end in a cone."""
     current, suspensions = g, 0
     for move in trace.moves:
+        nbrs = current.neighbor_masks
         if isinstance(move, Cone):
-            assert current.neighbor_masks[current.index(move.v)] == 0
+            assert nbrs[current.index(move.v)] == 0
             assert move is trace.moves[-1] and trace.contractible
             continue
         if isinstance(move, Fold):
             v, w = current.index(move.v), current.index(move.w)
-            assert current.neighborhood(v) <= current.neighborhood(w)
-            gone = [w]
+            assert not nbrs[v] & ~nbrs[w]
+            gone = 1 << w
         elif isinstance(move, StripK2):
             a, b = current.index(move.a), current.index(move.b)
-            assert current.neighborhood(a) == {b} and current.neighborhood(b) == {a}
-            gone, suspensions = [a, b], suspensions + 1
+            assert nbrs[a] == 1 << b and nbrs[b] == 1 << a
+            gone, suspensions = 1 << a | 1 << b, suspensions + 1
         else:
             v = current.index(move.v)
-            star = current.neighborhood(v, closed=True)
+            star = nbrs[v] | 1 << v
             if isinstance(move, LinkCone):
                 assert reduce_graph(delete_vertices(current, star)).contractible
-                gone = [v]
+                gone = 1 << v
             else:
                 assert isinstance(move, DeletionCone)
-                assert reduce_graph(delete_vertices(current, [v])).contractible
+                assert reduce_graph(delete_vertices(current, 1 << v)).contractible
                 gone, suspensions = star, suspensions + 1
         current = delete_vertices(current, gone)
     assert (trace.residual, trace.suspensions) == (current, suspensions)
     if not trace.contractible:
         # Nothing is left to split: no link and no deletion folds to a cone.
-        for v in range(len(current)):
-            star = current.neighborhood(v, closed=True)
-            assert not reduce_graph(delete_vertices(current, star)).contractible
-            assert not reduce_graph(delete_vertices(current, [v])).contractible
+        for v, mask in enumerate(current.neighbor_masks):
+            assert not reduce_graph(delete_vertices(current, mask | 1 << v)).contractible
+            assert not reduce_graph(delete_vertices(current, 1 << v)).contractible
 
 
 class TestFindFold:
@@ -127,7 +127,7 @@ class TestFindFold:
         assert find_fold(k2, full(k2)) is None
 
     def test_edgeless_pair_folds_by_empty_inclusion(self):
-        g = delete_vertices(build_gamma(3, 1), [1])
+        g = delete_vertices(build_gamma(3, 1), 0b010)
         assert find_fold(g, full(g)) == (0, 1)
 
     def test_mask_selects_the_induced_subgraph(self):
@@ -200,10 +200,10 @@ class TestReduce:
         first = trace.moves[0]
         assert isinstance(first, Fold)
         v, w = g.index(first.v), g.index(first.w)
-        assert g.neighborhood(v) <= g.neighborhood(w)
+        assert not g.neighbor_masks[v] & ~g.neighbor_masks[w]
 
     def test_empty_graph(self):
-        g = delete_vertices(build_gamma(1, 1), [0])
+        g = delete_vertices(build_gamma(1, 1), 1)
         trace = reduce_graph(g)
         assert not trace.contractible
         assert trace.suspensions == 0
@@ -344,7 +344,7 @@ class TestTraceJson:
     def test_every_move_kind(self):
         u, w = (1, 2), (3, 4)
         moves = (Fold(u, w), Cone(u), StripK2(u, w), LinkCone(w), DeletionCone(u))
-        trace = ReductionTrace(moves, 2, True, delete_vertices(build_gamma(1, 1), [0]))
+        trace = ReductionTrace(moves, 2, True, delete_vertices(build_gamma(1, 1), 1))
         assert json.dumps(trace.to_json_dict()["moves"]) == (
             '[{"kind": "fold", "v": [1, 2], "w": [3, 4]}, {"kind": "cone", "v": [1, 2]}, '
             '{"kind": "strip_k2", "a": [1, 2], "b": [3, 4]}, {"kind": "link_cone", "v": [3, 4]}, '

@@ -8,8 +8,8 @@ from indcomplex.graphs import (
     delete_vertices,
     graph_from_json_dict,
     graph_to_json_dict,
-    set_bits,
 )
+from indcomplex.faces import link_graph
 
 
 class TestBuildGamma:
@@ -63,12 +63,12 @@ class TestBuildFamily:
     def test_b_equals_gamma_minus_center(self):
         n = 3
         g = build_gamma(n, 6)
-        assert delete_vertices(g, [g.index((n, 4))]) == build_family(Family("b", n))
+        assert delete_vertices(g, 1 << g.index((n, 4))) == build_family(Family("b", n))
 
     def test_a_equals_gamma_minus_corners(self):
         n = 4
         g = build_gamma(n, 6)
-        removed = [g.index((n, 1)), g.index((n, 5))]
+        removed = 1 << g.index((n, 1)) | 1 << g.index((n, 5))
         assert delete_vertices(g, removed) == build_family(Family("a", n))
 
     def test_family_validation(self):
@@ -83,67 +83,60 @@ class TestBuildFamily:
 class TestDeleteVertices:
     def test_delete_all(self):
         g = build_gamma(2, 2)
-        empty = delete_vertices(g, range(4))
+        empty = delete_vertices(g, 0b1111)
         assert len(empty.vertices) == 0
         assert not empty.edges
 
     def test_path_middle_leaves_isolated_pair(self):
         p3 = build_gamma(3, 1)
-        g = delete_vertices(p3, [1])
+        g = delete_vertices(p3, 0b010)
         assert len(g.vertices) == 2
         assert not g.edges
 
     def test_original_unmodified(self):
         g = build_gamma(2, 2)
         before = (g.vertices, g.edges)
-        delete_vertices(g, [0])
+        delete_vertices(g, 1)
         assert (g.vertices, g.edges) == before
 
     def test_invalid_index(self):
-        with pytest.raises(GraphError):
-            delete_vertices(build_gamma(2, 2), [7])
+        g = build_gamma(2, 2)
+        for drop in (1 << 4, 1 << 7 | 1, -1, -2):  # out of range, negative
+            with pytest.raises(GraphError, match="vertex mask"):
+                delete_vertices(g, drop)
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_delete_commutes(self, data):
         g = build_gamma(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)))
-        indices = list(range(len(g.vertices)))
-        s = set(data.draw(st.sets(st.sampled_from(indices), max_size=4)))
-        t = set(data.draw(st.sets(st.sampled_from(indices), max_size=4))) - s
+        everything = (1 << len(g)) - 1
+        s = data.draw(st.integers(0, everything))
+        t = data.draw(st.integers(0, everything)) & ~s
         lhs = delete_vertices(delete_vertices(g, s), _reindexed(g, s, t))
         rhs = delete_vertices(g, s | t)
         assert lhs == rhs
 
 
 def _reindexed(g, removed, t):
-    keep = [i for i in range(len(g.vertices)) if i not in removed]
-    pos = {old: new for new, old in enumerate(keep)}
-    return {pos[i] for i in t}
+    """The mask t, a set of vertices outside removed, over g minus removed."""
+    keep = [i for i in range(len(g)) if not removed >> i & 1]
+    return sum(1 << new for new, old in enumerate(keep) if t >> old & 1)
 
 
 class TestNeighborhood:
     def test_corner_open(self):
         g = build_gamma(2, 2)
-        nbrs = g.neighborhood(g.index((1, 1)))
-        assert {g.vertices[i] for i in nbrs} == {(1, 2), (2, 1)}
-
-    def test_closed_adds_self(self):
-        g = build_gamma(3, 3)
-        for v in range(len(g.vertices)):
-            assert g.neighborhood(v, closed=True) == g.neighborhood(v) | {v}
+        mask = g.neighbor_masks[g.index((1, 1))]
+        assert {g.vertices[i] for i in range(len(g)) if mask >> i & 1} == {(1, 2), (2, 1)}
 
     def test_interior_degree_four(self):
         g = build_gamma(3, 3)
-        assert len(g.neighborhood(g.index((2, 2)))) == 4
+        assert g.neighbor_masks[g.index((2, 2))].bit_count() == 4
 
     def test_invalid_index(self):
-        with pytest.raises(GraphError):
-            build_gamma(2, 2).neighborhood(9)
-
-
-@given(st.sets(st.integers(0, 300)))
-def test_set_bits_ascending(indices):
-    assert list(set_bits(sum(1 << i for i in indices))) == sorted(indices)
+        for v in (4, 9, -1):
+            with pytest.raises(GraphError):
+                link_graph(build_gamma(2, 2), v)
 
 
 def test_row_flip_is_isomorphism():
@@ -204,6 +197,16 @@ def test_json_drops_malformed_family_tag(tag):
 )
 def test_json_rejects_malformed_graph(data):
     with pytest.raises(GraphError):
+        graph_from_json_dict(data)
+
+
+def test_json_graph_whose_masks_do_not_fit(monkeypatch):
+    monkeypatch.setattr("indcomplex.graphs.address_space", lambda: 64 << 20)
+    data = {
+        "vertices": [[1, y] for y in range(1, 40001)],
+        "edges": [[i, i + 1] for i in range(39999)],
+    }
+    with pytest.raises(MemoryError, match="neighbor masks of 40000 vertices"):
         graph_from_json_dict(data)
 
 

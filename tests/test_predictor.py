@@ -8,27 +8,6 @@ from indcomplex import (
     predict_family,
     predict_gamma,
 )
-from indcomplex.predictor import decompose_even, decompose_odd
-
-
-class TestDecompose:
-    def test_odd(self):
-        assert decompose_odd(1) == (0, 0)
-        assert decompose_odd(13) == (0, 6)
-        assert decompose_odd(15) == (1, 0)
-        assert decompose_odd(29) == (2, 0)
-
-    def test_even(self):
-        assert decompose_even(2) == (0, 1)
-        assert decompose_even(12) == (0, 6)
-        assert decompose_even(14) == (1, 0)
-        assert decompose_even(16) == (1, 1)
-
-    def test_parity_checks(self):
-        with pytest.raises(ValueError):
-            decompose_odd(4)
-        with pytest.raises(ValueError):
-            decompose_even(5)
 
 
 class TestFamilies:

@@ -137,6 +137,21 @@ class TestTransferModel:
         build_transfer_model(7)
         assert build_transfer_model.cache_info().currsize == 1
 
+    def test_cached_width_is_dropped_before_the_next_is_built(self):
+        # Width 19's tables would add about 28% to width 20's peak RSS if
+        # they were still alive while width 20 is built.
+        script = (
+            "import resource, sys\n"
+            "from indcomplex.transfer import build_transfer_model\n"
+            "for k in sys.argv[1:]: build_transfer_model(int(k))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        alone, pair = (
+            int(run_capped(["-c", script, *widths], 1 << 30).stdout)
+            for widths in (["20"], ["19", "20"])
+        )
+        assert pair <= 1.1 * alone
+
     @pytest.mark.deep
     def test_widths_18_to_24_in_one_process_under_400mib(self):
         # The width check admits width 24 under 400 MiB (about 203 MB peak
