@@ -65,9 +65,10 @@ def count_faces(g: Graph) -> int:
 def faces_by_dimension(g: Graph) -> dict[int, list[int]]:
     """Every independent set of g as a vertex bitmask, grouped by dimension
     (|face| - 1) with the empty face 0 at -1, each group in descending order.
-    The faces are counted first and refused over the face budget."""
-    total, budget = count_faces(g), face_budget()
-    if total > budget:
+    Unless 2^|V| faces, the most any graph has, fit the face budget, the faces
+    are counted first and refused over it."""
+    budget = face_budget()
+    if 1 << len(g) > budget and (total := count_faces(g)) > budget:
         raise FaceBudgetExceeded(f"{total} faces exceed the budget of {budget}")
     out: dict[int, list[int]] = {-1: [0]}
     nbrs = g.neighbor_masks

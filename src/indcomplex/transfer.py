@@ -12,15 +12,24 @@ column-pair matrix is never stored: a column costs O(k * Fib(k + 2))
 additions, and the tables that drive it take O(k * Fib(k + 2)) entries; a
 width whose tables would not fit in the address space raises MemoryError.
 
-Past 2L columns, L = #states + 1, the sweep stops stepping the model and
-continues by the minimal linear recurrence of the terms it holds.  With chi_n
-= 1 - 1^T M^(n-1) v for the transfer matrix M, chi is annihilated by Q(shift)
-with Q = (x - 1) * charpoly(M), a monic integer polynomial of degree L.
-Berlekamp-Massey modulo a large prime guesses the minimal recurrence from the
-2L terms (Massey, "Shift-register synthesis and BCH decoding", 1969), and the
-guess is kept only if it has order at most L and holds exactly over Z on all
-2L terms, which proves it for every n (see `_recurrence`); otherwise the sweep
-goes on column by column.  Width 6 steps 43 columns however large n is.
+Each column step yields two terms.  With v the state signs, D = diag(v) and
+A the symmetric disjointness matrix, the transfer matrix is M = D A, and
+D^2 = I gives 1^T M^a = (D x_a)^T for x_j = M^j v.  So chi_n = 1 - 1^T
+M^(n-1) v = 1 - sum_t v_t x_a[t] x_b[t] for every a + b = n - 1, and step m
+gives both chi_(2m) and chi_(2m+1).
+
+Past 2L terms, L = #states + 1, the sweep stops stepping the model and
+continues by the minimal linear recurrence of the terms it holds.  chi is
+annihilated by Q(shift) with Q = (x - 1) * charpoly(M), a monic integer
+polynomial of degree L.  Berlekamp-Massey modulo a large prime guesses the
+minimal recurrence from the 2L terms (Massey, "Shift-register synthesis and
+BCH decoding", 1969), and the guess is kept only if it has order at most L
+and holds exactly over Z on all 2L terms, which proves it for every n (see
+`_recurrence`); otherwise the sweep goes on column by column.  A recurrence
+of order e also proves a period p once chi_(n+p) = chi_n for n = 1..e, since
+their difference obeys it too; then the held terms repeat.  Width 6 steps 22
+columns, proves period 28 from its first 44 terms, and cycles them however
+large n is.
 
 All arithmetic uses Python integers, which are exact at any size, so no
 overflow handling is needed even where intermediate state-vector entries
@@ -33,6 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
+from operator import mul
 from typing import Iterator
 
 from .graphs import address_space
@@ -211,33 +221,67 @@ def _recurrence(seq: list[int], order: int) -> list[int] | None:
     return coeffs
 
 
+def _column_terms(model: TransferModel) -> Iterator[int]:
+    """chi(I(Gamma_{n,k})) for n = 1, 2, ... by the model, two terms a step.
+
+    With x_j = M^j signs, chi(n) = 1 - sum_t signs[t] x_a[t] x_b[t] for every
+    a + b = n - 1.  Proof: chi(n) = 1 - 1^T M^a x_b, and M = D A with A the
+    symmetric disjointness matrix and D = diag(signs), D^2 = I, so (1^T M^a)^T
+    = (A D)^a 1 = D (D A)^a D 1 = D x_a.  Step m turns x_(m-1) into x_m and
+    gives chi(2m) from (x_(m-1), x_m), then chi(2m + 1) from (x_m, x_m).
+    """
+    signs = model.signs
+    vec = list(signs)
+    while True:
+        weighted = list(map(mul, signs, vec))  # D x_m
+        yield 1 - sum(map(mul, weighted, vec))  # chi(2m + 1)
+        vec = model.step(vec)
+        yield 1 - sum(map(mul, weighted, vec))  # chi(2m + 2)
+
+
 def _chi_terms(k: int) -> Iterator[int]:
     """chi(I(Gamma_{n,k})) for n = 1, 2, ... without end, holding O(L) terms.
 
-    The model is stepped column by column until 2L terms are held, L =
-    #states + 1.  Then, if more are asked for, `_recurrence` proves the
-    minimal recurrence of those terms (chi satisfies (x - 1) * charpoly(M) of
-    degree L, so an exact check on 2L terms holds for all n) and the rest come
-    from its last e terms alone; if it finds none, stepping goes on.  Nothing
-    is computed before it is asked for.
+    `_column_terms` gives the first 2L terms, L = #states + 1, two a column
+    step, as chi(n) = 1 - sum_t signs[t] x_a[t] x_b[t] for x_j = M^j signs
+    and every a + b = n - 1 (1^T M^a = (D x_a)^T, D = diag(signs)).  If more are
+    asked for, `_recurrence` proves the minimal recurrence of those terms
+    (chi satisfies (x - 1) * charpoly(M) of degree L, so an exact check on 2L
+    terms holds for all n); if it finds none, stepping goes on.  Given a
+    proven recurrence of order e, the least p <= 2L - e with chi(n + p) =
+    chi(n) for n = 1..e is a period for every n: w(n) = chi(n + p) - chi(n)
+    obeys the same recurrence, and e consecutive zeros make w zero throughout.
+    Then the held terms repeat from phase 2L mod p; with no such p the rest
+    come from the recurrence's last e terms alone.  Nothing is computed
+    before it is asked for.
     """
     model = build_transfer_model(k)
     order = len(model.states) + 1
-    vec = list(model.signs)
+    terms = _column_terms(model)
     held: list[int] = []
-    while True:
-        chi = 1 - sum(vec)
+    for chi in terms:
         yield chi
-        if len(held) < 2 * order:
-            held.append(chi)
-            if len(held) == 2 * order and (coeffs := _recurrence(held, order)) is not None:
-                break
-        vec = model.step(vec)
-    terms = [(i, a) for i, a in enumerate(coeffs, 1) if a]
-    last = deque(held[-len(coeffs) :], len(coeffs))
+        held.append(chi)
+        if len(held) == 2 * order:
+            break
+    coeffs = _recurrence(held, order)
+    if coeffs is None:
+        yield from terms
+        return
+    e = len(coeffs)
+    head = held[:e]
+    period = next((p for p in range(1, 2 * order - e + 1) if held[p : p + e] == head), 0)
+    if period:
+        phase = len(held) % period
+        del held[period:]
+        yield from held[phase:]
+        while True:
+            yield from held
+    nonzero = [(i, a) for i, a in enumerate(coeffs, 1) if a]
+    last = deque(held[-e:], e)
     while True:
         chi = 0
-        for i, a in terms:
+        for i, a in nonzero:
             chi += a * last[-i]
         last.append(chi)
         yield chi

@@ -275,6 +275,13 @@ class TestEuler:
         rows = [tuple(map(int, line.split(","))) for line in out.strip().splitlines()[1:]]
         assert rows == [(n, expected_f6(n)) for n in range(99_990, 100_001)]
 
+    def test_sweep_past_a_million_cycles_the_proven_period(self, capsys):
+        # Width 6 proves period 28 from its first 44 terms and cycles them.
+        code, out, _ = run(capsys, "euler", "--sweep", "999990..1000000")
+        assert code == EXIT_OK
+        rows = [tuple(map(int, line.split(","))) for line in out.strip().splitlines()[1:]]
+        assert rows == [(n, expected_f6(n)) for n in range(999_990, 1_000_001)]
+
     def test_sweep_holds_only_the_rows_it_prints(self, capsys):
         # A list of the first 200,000 terms alone takes 1.6 MB.
         build_transfer_model(6)

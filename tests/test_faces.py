@@ -72,6 +72,26 @@ class TestEnumerateFaces:
         with pytest.raises(FaceBudgetExceeded, match="first 3 of 9 vertices"):
             count_faces(build_gamma(3, 3))
 
+    def test_counts_only_when_the_budget_could_be_exceeded(self, monkeypatch, face_budget_of):
+        counted = []
+
+        def spy(g):
+            counted.append(len(g))
+            return count_faces(g)
+
+        monkeypatch.setattr("indcomplex.faces.count_faces", spy)
+        g = build_gamma(2, 7)  # 14 vertices: at most 2^14 faces
+        faces = faces_by_dimension(g)
+        assert counted == []
+        assert sum(map(len, faces.values())) == count_faces(g)
+        face_budget_of(1 << 13)
+        assert faces_by_dimension(g) == faces
+        assert counted == [14]
+        face_budget_of(5)
+        with pytest.raises(FaceBudgetExceeded, match="exceed the budget of 5"):
+            faces_by_dimension(build_gamma(3, 3))
+        assert counted == [14, 9]
+
     def test_budget_follows_address_space_limit(self):
         proc = run_capped(
             ["-c", "from indcomplex.faces import face_budget; print(face_budget())"], 1 << 30

@@ -203,7 +203,8 @@ class TestEulerChi:
             euler_sweep(6, 0)
 
     def test_point_query_holds_only_the_recurrence_window(self):
-        # A list of 10^6 terms alone takes 8 MB.
+        # A list of 10^6 terms alone takes 8 MB.  Width 6 continues by its
+        # proven period, cycling the 28 terms it keeps of the 44 it held.
         build_transfer_model(6)
         tracemalloc.start()
         try:
@@ -212,6 +213,19 @@ class TestEulerChi:
         finally:
             tracemalloc.stop()
         assert chi == expected_f6(10**6)
+        assert peak < 1 << 20
+
+    def test_point_query_by_recurrence_holds_only_its_window(self):
+        # Width 4's recurrence has a repeated factor Phi_2^2, so chi is not
+        # periodic and the terms past 2L come from the recurrence's last e.
+        expected = reference_sweep(4, 10**5)[-1]
+        tracemalloc.start()
+        try:
+            chi = euler_chi(10**5, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chi == expected
         assert peak < 1 << 20
 
     @given(st.integers(1, 60))
@@ -253,20 +267,34 @@ class TestRecurrence:
     def test_matches_period_table_to_3000(self):
         assert euler_sweep(6, 3000) == [expected_f6(n) for n in range(1, 3001)]
 
-    @pytest.mark.parametrize("k,max_n,steps", [(6, 10**5, 43), (14, 200, 199)])
+    @pytest.mark.parametrize("k,max_n,steps", [(6, 10**5, 22), (14, 200, 100)])
     def test_steps_stop_at_2l_terms(self, step_calls, k, max_n, steps):
-        # Width 6: 2L = 44 terms take 43 steps.  Width 14: 2L = 1,976 > 200.
+        # Step m gives two terms, chi(2m) and chi(2m + 1), so term n takes
+        # n // 2 steps.  Width 6: 2L = 44 terms take 22 steps, and its proven
+        # period gives the rest.  Width 14: 2L = 1,976 > 200, so all 200 are
+        # stepped, in 100 steps.
         values = euler_sweep(k, max_n)
         assert len(values) == max_n
         assert len(step_calls) == steps
 
     def test_failed_guess_falls_back_to_stepping(self, monkeypatch, step_calls):
         # Modulo 5 the guessed width-7 recurrence lifts wrongly and fails the
-        # exact check, so every column is stepped.
+        # exact check, so every term is stepped: 300 terms, two a step.
         monkeypatch.setattr(transfer, "_PRIME", 5)
         values = euler_sweep(7, 300)
-        assert len(step_calls) == 299
+        assert len(step_calls) == 150
         assert values == reference_sweep(7, 300)
+
+    @given(st.integers(1, 9), st.integers(0, 20), st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_two_vectors_give_chi(self, k, a, b):
+        # chi(a + b + 1) = 1 - sum_t signs[t] x_a[t] x_b[t], x_j = M^j signs.
+        model = build_transfer_model(k)
+        x = [list(model.signs)]
+        for _ in range(max(a, b)):
+            x.append(model.step(x[-1]))
+        chi = 1 - sum(s * u * v for s, u, v in zip(model.signs, x[a], x[b]))
+        assert chi == reference_sweep(k, a + b + 1)[-1]
 
     def test_finds_minimal_recurrence(self):
         fib = [1, 1, 2, 3, 5, 8]
