@@ -99,7 +99,7 @@ def _cmd_euler(args: argparse.Namespace) -> int:
         build_transfer_model(args.k)  # a refused width exits before the header
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", "chi"])
-        for n, chi in enumerate(islice(_chi_terms(args.k), lo - 1, hi), lo):
+        for n, chi in enumerate(islice(_chi_terms(args.k, lo), hi - lo + 1), lo):
             writer.writerow([n, chi])
         return EXIT_OK
     if args.method == "enumerate":

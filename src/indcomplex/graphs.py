@@ -6,7 +6,8 @@ subgraphs of the n-by-6 grid obtained by removing vertices from the last
 column.  Vertices are kept in column-major lexicographic order so every
 downstream computation (fold scanning, face enumeration) is deterministic.
 A set of vertices is a mask: bit i stands for the vertex of index i, and a
-graph keeps each vertex's neighbors as such a mask.
+graph keeps each vertex's neighbors as such a mask.  The masks are its only
+record of the edges; edge lists exist only at the Graph constructor and in JSON.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import os
 import resource
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Vertex = tuple[int, int]
 
@@ -78,14 +80,12 @@ class Family:
 class Graph:
     """An immutable finite simple graph with grid-coordinate vertices.
 
-    Vertices are (x, y) integer pairs, stored strictly sorted in column-major
-    lexicographic order; edges are unordered index pairs into that list.
-    Construction canonicalizes the order, so equal vertex/edge sets compare
-    equal regardless of input order.  Adjacency is also kept as per-vertex
-    neighbor bitmasks.
+    Vertices are (x, y) integer pairs, kept sorted column-major.  The edges,
+    given as index pairs into the input list, are kept only as neighbor masks
+    over that order, so equal vertex and edge sets compare equal in any order.
     """
 
-    __slots__ = ("vertices", "edges", "family", "neighbor_masks", "_index")
+    __slots__ = ("vertices", "neighbor_masks", "family")
 
     def __init__(
         self,
@@ -98,27 +98,19 @@ class Graph:
             raise GraphError("duplicate vertices")
         order = sorted(range(len(raw)), key=lambda i: raw[i])
         remap = {old: new for new, old in enumerate(order)}
-        self_vertices = tuple(raw[i] for i in order)
-
-        edge_set: set[tuple[int, int]] = set()
+        masks = [0] * len(raw)
         for a, b in edges:
             if not (0 <= a < len(raw) and 0 <= b < len(raw)):
                 raise GraphError(f"edge ({a}, {b}) references an invalid vertex index")
             if a == b:
                 raise GraphError(f"loop at vertex index {a}")
             i, j = remap[a], remap[b]
-            edge_set.add((min(i, j), max(i, j)))
-
-        masks = [0] * len(raw)
-        for i, j in edge_set:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
 
-        object.__setattr__(self, "vertices", self_vertices)
-        object.__setattr__(self, "edges", frozenset(edge_set))
-        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "vertices", tuple(raw[i] for i in order))
         object.__setattr__(self, "neighbor_masks", tuple(masks))
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self_vertices)})
+        object.__setattr__(self, "family", family)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
@@ -130,20 +122,21 @@ class Graph:
         # Structural equality; the family tag is provenance only.
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self.neighbor_masks == other.neighbor_masks
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self.neighbor_masks))
 
     def __repr__(self) -> str:
+        edges = sum(m.bit_count() for m in self.neighbor_masks) // 2
         tag = f", family={self.family}" if self.family else ""
-        return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges{tag})"
+        return f"Graph({len(self.vertices)} vertices, {edges} edges{tag})"
 
     def index(self, vertex: Vertex) -> int:
-        try:
-            return self._index[tuple(vertex)]
-        except KeyError:
-            raise GraphError(f"vertex {vertex} not in graph") from None
+        i = bisect_left(self.vertices, tuple(vertex))
+        if self.vertices[i : i + 1] != (tuple(vertex),):
+            raise GraphError(f"vertex {vertex} not in graph")
+        return i
 
 
 def build_gamma(n: int, k: int) -> Graph:
@@ -182,11 +175,18 @@ def delete_vertices(g: Graph, drop: int) -> Graph:
         raise GraphError(f"vertex mask {drop:#x} has bits outside the {len(g)} vertices of g")
     keep = [i for i in range(len(g)) if not drop >> i & 1]
     remap = {old: new for new, old in enumerate(keep)}
-    vertices = [g.vertices[i] for i in keep]
-    edges = [
-        (remap[a], remap[b]) for a, b in g.edges if a in remap and b in remap
-    ]
-    return Graph(vertices, edges)
+    edges = [(remap[i], remap[j]) for i, j in _edges(g, drop)]
+    return Graph([g.vertices[i] for i in keep], edges)
+
+
+def _edges(g: Graph, drop: int = 0) -> Iterator[tuple[int, int]]:
+    """The edges (i, j), i < j, between vertices outside the mask drop, ascending."""
+    for i, nbrs in enumerate(g.neighbor_masks):
+        later = 0 if drop >> i & 1 else (nbrs & ~drop) >> (i + 1)
+        while later:
+            low = later & -later
+            yield i, i + low.bit_length()
+            later ^= low
 
 
 def graph_to_json_dict(g: Graph) -> dict:
@@ -199,7 +199,7 @@ def graph_to_json_dict(g: Graph) -> dict:
         "k": fam.k if fam else (max(ys) if ys else 0),
         "family": fam.kind if fam else None,
         "vertices": [[x, y] for x, y in g.vertices],
-        "edges": [[a, b] for a, b in sorted(g.edges)],
+        "edges": [[i, j] for i, j in _edges(g)],
     }
 
 

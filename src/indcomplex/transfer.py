@@ -27,9 +27,9 @@ BCH decoding", 1969), and the guess is kept only if it has order at most L
 and holds exactly over Z on all 2L terms, which proves it for every n (see
 `_recurrence`); otherwise the sweep goes on column by column.  A recurrence
 of order e also proves a period p once chi_(n+p) = chi_n for n = 1..e, since
-their difference obeys it too; then the held terms repeat.  Width 6 steps 22
-columns, proves period 28 from its first 44 terms, and cycles them however
-large n is.
+their difference obeys it too; then the held terms repeat, and a query
+starting at any n begins at its phase.  Width 6 steps 22 columns, proves
+period 28 from its first 44 terms, and cycles them however large n is.
 
 All arithmetic uses Python integers, which are exact at any size, so no
 overflow handling is needed even where intermediate state-vector entries
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import cycle, islice
 from operator import mul
 from typing import Iterator
 
@@ -65,8 +65,6 @@ def _path_sets(k: int) -> list[list[int]]:
     uses it (a set on m - 2 rows plus the top bit), and every set of the
     second kind is larger than every set of the first.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     paths = [[0], [0, 1]]
     for m in range(2, k + 1):
         top = 1 << (m - 1)
@@ -131,6 +129,8 @@ def build_transfer_model(k: int) -> TransferModel:
     """The width-k model, refused before any table is built if they would not
     fit.  An admitted width first drops the cached one, so two are never held
     at once, and `cache_info()` counts hits and misses since the last miss."""
+    if k < 1:  # before the cached width is dropped
+        raise ValueError(f"k must be >= 1, got {k}")
     # Fib(k + 1), Fib(k + 2), from the 1-row column up; the loop stops as
     # soon as the tables pass the limit, so a huge k is refused at once.
     limit = address_space()
@@ -239,8 +239,9 @@ def _column_terms(model: TransferModel) -> Iterator[int]:
         yield 1 - sum(map(mul, weighted, vec))  # chi(2m + 2)
 
 
-def _chi_terms(k: int) -> Iterator[int]:
-    """chi(I(Gamma_{n,k})) for n = 1, 2, ... without end, holding O(L) terms.
+def _chi_terms(k: int, start: int = 1) -> Iterator[int]:
+    """chi(I(Gamma_{n,k})) for n = start, start + 1, ... without end, holding
+    O(L) terms.
 
     `_column_terms` gives the first 2L terms, L = #states + 1, two a column
     step, as chi(n) = 1 - sum_t signs[t] x_a[t] x_b[t] for x_j = M^j signs
@@ -251,34 +252,35 @@ def _chi_terms(k: int) -> Iterator[int]:
     proven recurrence of order e, the least p <= 2L - e with chi(n + p) =
     chi(n) for n = 1..e is a period for every n: w(n) = chi(n + p) - chi(n)
     obeys the same recurrence, and e consecutive zeros make w zero throughout.
-    Then the held terms repeat from phase 2L mod p; with no such p the rest
-    come from the recurrence's last e terms alone.  Nothing is computed
-    before it is asked for.
+    Then the held terms repeat, the first at the phase of max(start, 2L + 1),
+    so a far start costs no more than a near one; with no such p the rest
+    come from the recurrence's last e terms alone, and the terms before start
+    are still walked.  Nothing is computed before it is asked for.
     """
     model = build_transfer_model(k)
     order = len(model.states) + 1
     terms = _column_terms(model)
     held: list[int] = []
     for chi in terms:
-        yield chi
         held.append(chi)
+        if len(held) >= start:
+            yield chi
         if len(held) == 2 * order:
             break
+    skip = max(start - 1 - len(held), 0)  # terms past the held ones before start
     coeffs = _recurrence(held, order)
     if coeffs is None:
-        yield from terms
+        yield from islice(terms, skip, None)
         return
     e = len(coeffs)
     head = held[:e]
     period = next((p for p in range(1, 2 * order - e + 1) if held[p : p + e] == head), 0)
     if period:
-        phase = len(held) % period
-        del held[period:]
-        yield from held[phase:]
-        while True:
-            yield from held
+        yield from islice(cycle(held[:period]), (len(held) + skip) % period, None)
     nonzero = [(i, a) for i, a in enumerate(coeffs, 1) if a]
     last = deque(held[-e:], e)
+    for _ in range(skip):
+        last.append(sum(a * last[-i] for i, a in nonzero))
     while True:
         chi = 0
         for i, a in nonzero:
@@ -298,7 +300,7 @@ def euler_chi(n: int, k: int) -> int:
     """Unreduced Euler characteristic of I(Gamma_{n,k}), in O(#states) memory."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return next(islice(_chi_terms(k), n - 1, None))
+    return next(_chi_terms(k, n))
 
 
 def period_detect(k: int, max_n: int) -> int | None:

@@ -8,17 +8,23 @@ from pathlib import Path
 
 import pytest
 
-from indcomplex.graphs import Graph, build_gamma, delete_vertices
+from indcomplex.graphs import Graph, build_gamma, delete_vertices, graph_to_json_dict
 from indcomplex.verify import graphs_with_splits  # noqa: F401  (re-exported for the tests)
+
+
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, of g in ascending order, as its JSON lists them."""
+    return [(a, b) for a, b in graph_to_json_dict(g)["edges"]]
 
 
 def brute_force_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """Oracle: check every vertex subset directly against the edge set."""
     out = []
     n = len(g.vertices)
+    edges = set(edge_list(g))
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
-            if all((a, b) not in g.edges for a, b in itertools.combinations(subset, 2)):
+            if all((a, b) not in edges for a, b in itertools.combinations(subset, 2)):
                 out.append(subset)
     return sorted(out)
 
@@ -41,7 +47,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
           - min((x for x, _ in g2.vertices), default=0) + 1)
     verts = list(g1.vertices) + shift_columns(g2, dx)
     n1 = len(g1.vertices)
-    edges = sorted(g1.edges) + [(a + n1, b + n1) for a, b in sorted(g2.edges)]
+    edges = edge_list(g1) + [(a + n1, b + n1) for a, b in edge_list(g2)]
     return Graph(verts, edges)
 
 

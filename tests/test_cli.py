@@ -43,6 +43,28 @@ class TestPredict:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    @pytest.mark.parametrize("family", ["gamma", "a", "b"])
+    def test_band_that_cannot_fit_exits_3_at_once(self, capsys, monkeypatch, family):
+        # n = 10^9 has a band of about 71 M sphere dimensions, some 24 GB
+        # at the measured 341 B each; n = 10^5 has 7,143.
+        monkeypatch.setattr("indcomplex.predictor.address_space", lambda: 1 << 30)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "predict", "--n", "1000000000", "--family", family)
+        assert time.perf_counter() - started < 0.5
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert "sphere dimensions" in err and f"{1 << 30} bytes of address space" in err
+        code, out, _ = run(capsys, "predict", "--n", "100000", "--family", family)
+        assert code == EXIT_OK
+        assert json.loads(out)["chi"] == predict_family(Family(family, 100000)).chi
+
+    def test_largest_band_admitted_under_256mib_finishes(self):
+        # 256 MiB admits 262,144 dimensions: Gamma(14 * 262,144 + 1, 6) has
+        # that many, and the next odd n with one more is refused.
+        n = 14 * 262_144 + 1
+        for m, code in ((n, EXIT_OK), (n + 14, EXIT_BUDGET)):
+            proc = run_capped(["-m", "indcomplex.cli", "predict", "--n", str(m)], 256 << 20)
+            assert proc.returncode == code, proc.stderr
+
 
 class TestHomology:
     def test_gamma_2(self, capsys):
@@ -281,6 +303,15 @@ class TestEuler:
         assert code == EXIT_OK
         rows = [tuple(map(int, line.split(","))) for line in out.strip().splitlines()[1:]]
         assert rows == [(n, expected_f6(n)) for n in range(999_990, 1_000_001)]
+
+    def test_sweep_past_10_to_the_18_indexes_the_proven_period(self, capsys):
+        # The sweep starts at the period's phase of A; walking to 10^18
+        # would take years.
+        lo = 10**18
+        code, out, _ = run(capsys, "euler", "--sweep", f"{lo}..{lo + 27}")
+        assert code == EXIT_OK
+        rows = [tuple(map(int, line.split(","))) for line in out.strip().splitlines()[1:]]
+        assert rows == [(n, expected_f6(n)) for n in range(lo, lo + 28)]
 
     def test_sweep_holds_only_the_rows_it_prints(self, capsys):
         # A list of the first 200,000 terms alone takes 1.6 MB.

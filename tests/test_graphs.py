@@ -1,9 +1,14 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indcomplex import Family, GraphError, build_family, build_gamma
+from indcomplex.fold import reduce_graph, reduce_with_splits
 from indcomplex.graphs import (
+    FAMILY_KINDS,
     Graph,
     delete_vertices,
     graph_from_json_dict,
@@ -11,28 +16,34 @@ from indcomplex.graphs import (
 )
 from indcomplex.faces import link_graph
 
+from conftest import edge_list
+
+# sha256 over the JSON of every family with n <= 30, every Gamma(n, k) with
+# n, k <= 8, and the reduce_graph and reduce_with_splits residual of each.
+WIRE_SHA256 = "401cdec7493c2c632df01ca0305e315ee5c1c9a96e98c0054394abce3d3a40a1"
+
 
 class TestBuildGamma:
     def test_2x2(self):
         g = build_gamma(2, 2)
         assert len(g.vertices) == 4
-        assert len(g.edges) == 4
+        assert len(edge_list(g)) == 4
 
     def test_single_vertex(self):
         g = build_gamma(1, 1)
         assert g.vertices == ((1, 1),)
-        assert not g.edges
+        assert not edge_list(g)
 
     def test_edge_count_3x6(self):
         g = build_gamma(3, 6)
         # 6 rows of 2 horizontal edges plus 3 columns of 5 vertical edges.
-        assert len(g.edges) == 6 * 2 + 3 * 5 == 27
+        assert len(edge_list(g)) == 6 * 2 + 3 * 5 == 27
 
     @pytest.mark.parametrize("n,k", [(1, 1), (2, 3), (5, 6), (7, 2)])
     def test_vertex_and_edge_counts(self, n, k):
         g = build_gamma(n, k)
         assert len(g.vertices) == n * k
-        assert len(g.edges) == k * (n - 1) + n * (k - 1)
+        assert len(edge_list(g)) == k * (n - 1) + n * (k - 1)
 
     @pytest.mark.parametrize("n,k", [(0, 1), (1, 0), (-2, 3)])
     def test_rejects_nonpositive(self, n, k):
@@ -48,12 +59,12 @@ class TestBuildFamily:
     def test_x1_is_three_isolated_vertices(self):
         g = build_family(Family("x", 1))
         assert set(g.vertices) == {(1, 2), (1, 4), (1, 6)}
-        assert not g.edges
+        assert not edge_list(g)
 
     def test_y1_is_two_disjoint_k2(self):
         g = build_family(Family("y", 1))
         assert len(g.vertices) == 4
-        assert len(g.edges) == 2
+        assert len(edge_list(g)) == 2
         assert all(m.bit_count() == 1 for m in g.neighbor_masks)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -85,19 +96,19 @@ class TestDeleteVertices:
         g = build_gamma(2, 2)
         empty = delete_vertices(g, 0b1111)
         assert len(empty.vertices) == 0
-        assert not empty.edges
+        assert not edge_list(empty)
 
     def test_path_middle_leaves_isolated_pair(self):
         p3 = build_gamma(3, 1)
         g = delete_vertices(p3, 0b010)
         assert len(g.vertices) == 2
-        assert not g.edges
+        assert not edge_list(g)
 
     def test_original_unmodified(self):
         g = build_gamma(2, 2)
-        before = (g.vertices, g.edges)
+        before = (g.vertices, g.neighbor_masks)
         delete_vertices(g, 1)
-        assert (g.vertices, g.edges) == before
+        assert (g.vertices, g.neighbor_masks) == before
 
     def test_invalid_index(self):
         g = build_gamma(2, 2)
@@ -142,9 +153,7 @@ class TestNeighborhood:
 def test_row_flip_is_isomorphism():
     n = 4
     g = build_gamma(n, 6)
-    flipped = Graph(
-        [(x, 7 - y) for x, y in g.vertices], [(a, b) for a, b in g.edges]
-    )
+    flipped = Graph([(x, 7 - y) for x, y in g.vertices], edge_list(g))
     assert flipped == g
 
 
@@ -168,7 +177,7 @@ def test_json_reorders_vertices():
     }
     g = graph_from_json_dict(data)
     assert g.vertices == ((1, 1), (2, 1))
-    assert g.edges == frozenset({(0, 1)})
+    assert g.neighbor_masks == (0b10, 0b01)
 
 
 @pytest.mark.parametrize(
@@ -217,3 +226,27 @@ def test_graph_rejects_loops_and_bad_indices():
         Graph([(1, 1), (1, 2)], [(0, 5)])
     with pytest.raises(GraphError):
         Graph([(1, 1), (1, 1)], [])
+
+
+def test_repeated_and_reversed_edges_collapse():
+    g = Graph([(2, 1), (1, 1)], [(0, 1), (1, 0), (0, 1)])
+    assert g == build_gamma(2, 1) and hash(g) == hash(build_gamma(2, 1))
+    assert repr(g) == "Graph(2 vertices, 1 edges)"
+
+
+def test_index_searches_the_sorted_vertices():
+    g = build_family(Family("b", 3))
+    assert [g.index(v) for v in g.vertices] == list(range(len(g)))
+    for v in ((3, 4), (0, 1), (4, 1), (3, 7)):
+        with pytest.raises(GraphError, match="not in graph"):
+            g.index(v)
+
+
+def test_wire_format_is_pinned():
+    graphs = [build_family(Family(kind, n)) for kind in FAMILY_KINDS for n in range(1, 31)]
+    graphs += [build_gamma(n, k) for n in range(1, 9) for k in range(1, 9)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for h in (g, reduce_graph(g).residual, reduce_with_splits(g).residual):
+            digest.update(json.dumps(graph_to_json_dict(h)).encode())
+    assert digest.hexdigest() == WIRE_SHA256

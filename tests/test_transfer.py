@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from indcomplex import build_gamma, euler_chi, euler_sweep, expected_f6, period_detect, transfer
 from indcomplex.faces import euler_from_fvector, f_vector
-from indcomplex.transfer import _recurrence, build_transfer_model
+from indcomplex.transfer import _chi_terms, _recurrence, build_transfer_model
 from indcomplex.predictor import F6_PERIOD
 
 from conftest import run_capped
@@ -132,6 +133,13 @@ class TestTransferModel:
                 for t in range(len(model.states))
             )
 
+    def test_refused_width_keeps_the_cached_model(self):
+        model = build_transfer_model(6)
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                build_transfer_model(k)
+        assert build_transfer_model(6) is model
+
     def test_cache_holds_one_width(self):
         build_transfer_model(5)
         build_transfer_model(7)
@@ -202,7 +210,7 @@ class TestEulerChi:
         with pytest.raises(ValueError):
             euler_sweep(6, 0)
 
-    def test_point_query_holds_only_the_recurrence_window(self):
+    def test_point_query_by_period_holds_only_its_cycle(self):
         # A list of 10^6 terms alone takes 8 MB.  Width 6 continues by its
         # proven period, cycling the 28 terms it keeps of the 44 it held.
         build_transfer_model(6)
@@ -227,6 +235,24 @@ class TestEulerChi:
             tracemalloc.stop()
         assert chi == expected
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "k,cycle,steps", [(6, F6_PERIOD, 22), (2, (2, 2, 0, 0), 4)], ids=["k6", "k2"]
+    )
+    def test_point_query_past_a_proven_period_is_indexed(self, step_calls, k, cycle, steps):
+        # 2L held terms take L steps (width 6: 44 terms, width 2: 8); past
+        # them the proven period is indexed at the query's phase, not walked.
+        n = 10**18
+        assert euler_chi(n, k) == cycle[(n - 1) % len(cycle)]
+        assert len(step_calls) == steps
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 6, 7])
+    def test_terms_from_any_start_match_the_sweep(self, k):
+        # Widths 2 and 6 cycle a proven period, widths 1, 4, 5 and 7 continue
+        # by their recurrence; each start lands before, at or past 2L.
+        sweep = euler_sweep(k, 500)
+        for start in (1, 2, 27, 28, 29, 44, 45, 46, 100, 457, 500):
+            assert list(islice(_chi_terms(k, start), 501 - start)) == sweep[start - 1 :], start
 
     @given(st.integers(1, 60))
     @settings(max_examples=25, deadline=None)
