@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         # The reader stopped early (`| head`); keep the exit-time flush quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except FaceBudgetExceeded as exc:
+    except FaceBudgetExceeded as exc:  # a MemoryError, so caught first for its prefix
         print(f"face budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except MemoryError as exc:

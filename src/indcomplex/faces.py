@@ -3,14 +3,14 @@
 A graph is treated implicitly as its independence complex: faces are the
 independent vertex sets as bitmasks, the empty face 0 included.  One vertex
 sweep of the independence polynomial counts the faces, by size if asked,
-without listing them.  Enumeration, which homology needs, is bounded by a
-face budget derived from the memory the process may use and guarded by that
-exact count.
+without listing them.  Enumeration, which homology needs, is admitted only
+if its faces, counted exactly first, fit the address space at BYTES_PER_FACE
+each.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, address_space, delete_vertices
+from .graphs import Graph, GraphError, admit, delete_vertices
 
 # Peak memory per face, with headroom.  Peak RSS over faces, interpreter
 # included, from face lists through elimination (CPython 3.11, x86-64) on fold
@@ -18,13 +18,8 @@ from .graphs import Graph, GraphError, address_space, delete_vertices
 BYTES_PER_FACE = 512
 
 
-class FaceBudgetExceeded(RuntimeError):
-    """Enumeration would exceed the face budget."""
-
-
-def face_budget() -> int:
-    """Faces that fit in memory: the address space over BYTES_PER_FACE."""
-    return address_space() // BYTES_PER_FACE
+class FaceBudgetExceeded(MemoryError):
+    """The faces may not fit in the address space at BYTES_PER_FACE each."""
 
 
 def _independence_polynomial(g: Graph, x: int) -> int:
@@ -32,11 +27,10 @@ def _independence_polynomial(g: Graph, x: int) -> int:
 
     Sweeps the vertices in order, summing the partial faces on the vertices
     seen so far by the set of later vertices they ban.  Distinct states have
-    distinct partial faces, so once the states outnumber the face budget so
-    do the faces, and FaceBudgetExceeded is raised; for x > 1 a state's sum
+    distinct partial faces, so once the states may not fit as faces, neither
+    may the faces, and FaceBudgetExceeded is raised; for x > 1 a state's sum
     holds a base-x digit per face size, and that memory counts too.
     """
-    budget = face_budget()
     weight = 1 + (len(g) + 1) * (x.bit_length() - 1) // (8 * BYTES_PER_FACE)
     states = {0: 1}
     for v, nbrs in enumerate(g.neighbor_masks):
@@ -49,11 +43,8 @@ def _independence_polynomial(g: Graph, x: int) -> int:
                 key = rest | later
                 step[key] = step.get(key, 0) + count * x
         states = step
-        if len(states) * weight > budget:
-            raise FaceBudgetExceeded(
-                f"the first {v + 1} of {len(g)} vertices already need the memory of "
-                f"more than {budget} faces, the budget"
-            )
+        need = len(states) * weight * BYTES_PER_FACE
+        admit(f"the face sweep's first {v + 1} of {len(g)} vertices", need, FaceBudgetExceeded)
     return sum(states.values())
 
 
@@ -65,11 +56,13 @@ def count_faces(g: Graph) -> int:
 def faces_by_dimension(g: Graph) -> dict[int, list[int]]:
     """Every independent set of g as a vertex bitmask, grouped by dimension
     (|face| - 1) with the empty face 0 at -1, each group in descending order.
-    Unless 2^|V| faces, the most any graph has, fit the face budget, the faces
-    are counted first and refused over it."""
-    budget = face_budget()
-    if 1 << len(g) > budget and (total := count_faces(g)) > budget:
-        raise FaceBudgetExceeded(f"{total} faces exceed the budget of {budget}")
+    Unless 2^|V| faces, the most any graph has, fit, the faces are counted
+    first and refused if they do not."""
+    try:
+        admit(f"2^{len(g)} faces", (1 << len(g)) * BYTES_PER_FACE)
+    except MemoryError:
+        total = count_faces(g)
+        admit(f"{total} faces", total * BYTES_PER_FACE, FaceBudgetExceeded)
     out: dict[int, list[int]] = {-1: [0]}
     nbrs = g.neighbor_masks
 

@@ -8,6 +8,7 @@ downstream computation (fold scanning, face enumeration) is deterministic.
 A set of vertices is a mask: bit i stands for the vertex of index i, and a
 graph keeps each vertex's neighbors as such a mask.  The masks are its only
 record of the edges; edge lists exist only at the Graph constructor and in JSON.
+Every memory guard of the package states its need in bytes to `admit`.
 """
 
 from __future__ import annotations
@@ -39,18 +40,19 @@ def address_space() -> int:
     return limit
 
 
-def _check_masks_fit(vertices: int, bits: int) -> None:
-    """Refuse, before any is built, neighbor masks of at most `bits` bits in
-    all that may not fit in the address space; each is an int of
-    sys.getsizeof(1) bytes plus one digit per further bits_per_digit bits."""
-    size, per = sys.getsizeof(1), sys.int_info.bits_per_digit
-    need = vertices * size + bits // per * (sys.getsizeof(1 << per) - size)
+def admit(what: str, need: int, error: type[MemoryError] = MemoryError) -> None:
+    """The one memory guard: refuse, by raising error, work whose estimate of
+    need bytes exceeds the address space, before any of it is built."""
     limit = address_space()
     if need > limit:
-        raise MemoryError(
-            f"the neighbor masks of {vertices} vertices may need {need} bytes, "
-            f"more than the {limit} bytes of address space"
-        )
+        raise error(f"{what} may need {need} bytes, more than the {limit} bytes of address space")
+
+
+def _mask_bytes(vertices: int, bits: int) -> int:
+    """Bytes of `vertices` neighbor masks of at most `bits` bits in all; each is
+    an int of sys.getsizeof(1) bytes plus one digit per further bits_per_digit bits."""
+    size, per = sys.getsizeof(1), sys.int_info.bits_per_digit
+    return vertices * size + bits // per * (sys.getsizeof(1 << per) - size)
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,8 @@ def _grid(n: int, k: int, family: Family, removed: Iterable[Vertex]) -> Graph:
     # Vertex i's highest neighbor is at most k places above it (one place
     # when there is one column), so its mask has at most i + reach + 1 bits.
     count, reach = n * k - len(drop), k if n > 1 else 1
-    _check_masks_fit(count, count * (count + 1) // 2 + count * reach)
+    bits = count * (count + 1) // 2 + count * reach
+    admit(f"the neighbor masks of {count} vertices", _mask_bytes(count, bits))
     vertices = [(x, y) for x in range(1, n + 1) for y in range(1, k + 1) if (x, y) not in drop]
     index = {v: i for i, v in enumerate(vertices)}
     edges = []
@@ -215,7 +218,8 @@ def graph_from_json_dict(data: dict) -> Graph:
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
     # Each mask has at most one bit per vertex.
-    _check_masks_fit(len(vertices), len(vertices) ** 2)
+    count = len(vertices)
+    admit(f"the neighbor masks of {count} vertices", _mask_bytes(count, count**2))
     family = None
     if data.get("family"):
         try:

@@ -10,7 +10,7 @@ recursion b(n) = y(n) v S^6 a(n-4).
 
 from __future__ import annotations
 
-from .graphs import Family, GraphError, address_space
+from .graphs import Family, GraphError, admit
 from .wedge import WedgeOfSpheres
 
 # Coefficient tables, indexed by the residue k of the decomposition.
@@ -19,10 +19,10 @@ MU = {0: 2, 1: 2, 2: 4, 3: 4}
 A_COEFF = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3}
 B_COEFF = {2: 0, 3: 0, 4: 0, 5: 1, 6: 1}
 
-# Peak memory per sphere dimension of a band, with headroom: `predict` grew
-# peak RSS by 333-341 B a dimension through its JSON output (predict_family
-# alone by 238-281 B) for Gamma, a and b at bands of 71,430 and 285,715
-# dimensions (CPython 3.11, x86-64).
+# Peak memory per sphere dimension of a band, with headroom, for `admit`:
+# `predict` grew peak RSS by 333-341 B a dimension through its JSON output
+# (predict_family alone by 238-281 B) for Gamma, a and b at bands of 71,430
+# and 285,715 dimensions (CPython 3.11, x86-64).
 BYTES_PER_DIMENSION = 1024
 
 # One full period of n -> chi(I(Gamma_{n,6})), n = 1..28.
@@ -36,12 +36,7 @@ def _band(lo: int, hi: int, mult: int) -> WedgeOfSpheres:
     """mult copies of S^i for lo <= i <= hi; empty when the range is empty.
     A band whose dimensions may not fit in the address space is refused
     before any is built."""
-    limit = address_space()
-    if (hi - lo + 1) * BYTES_PER_DIMENSION > limit:
-        raise MemoryError(
-            f"a band of {hi - lo + 1} sphere dimensions may need more than the "
-            f"{limit} bytes of address space"
-        )
+    admit(f"a band of {hi - lo + 1} sphere dimensions", (hi - lo + 1) * BYTES_PER_DIMENSION)
     return WedgeOfSpheres({i: mult for i in range(lo, hi + 1)})
 
 

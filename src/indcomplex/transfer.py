@@ -29,7 +29,8 @@ and holds exactly over Z on all 2L terms, which proves it for every n (see
 of order e also proves a period p once chi_(n+p) = chi_n for n = 1..e, since
 their difference obeys it too; then the held terms repeat, and a query
 starting at any n begins at its phase.  Width 6 steps 22 columns, proves
-period 28 from its first 44 terms, and cycles them however large n is.
+period 28 from its first 44 terms, and cycles them however large n is; width
+5 proves its period 40, longer than its 28 held terms, on the walk to a far n.
 
 All arithmetic uses Python integers, which are exact at any size, so no
 overflow handling is needed even where intermediate state-vector entries
@@ -45,10 +46,10 @@ from itertools import cycle, islice
 from operator import mul
 from typing import Iterator
 
-from .graphs import address_space
+from .graphs import admit
 
-# Peak memory per entry of k * Fib(k + 2), with headroom: building the tables
-# grew peak RSS by 69-72 B an entry at k = 18..24 (CPython 3.11, x86-64).
+# Peak memory per entry of k * Fib(k + 2), with headroom, for `admit`: building
+# the tables grew peak RSS by 69-72 B an entry at k = 18..24 (CPython 3.11, x86-64).
 BYTES_PER_ENTRY = 128
 
 # Berlekamp-Massey works modulo this prime; an unlucky prime only costs the
@@ -122,8 +123,8 @@ class TransferModel:
         )
 
 
-# One width at a time: the check below reads the whole address space, so
-# tables kept for other widths could make an admitted width run out of memory.
+# One width at a time: the guard below admits against the whole address space,
+# so tables kept for other widths could make an admitted width run out of memory.
 @lru_cache(maxsize=1)
 def build_transfer_model(k: int) -> TransferModel:
     """The width-k model, refused before any table is built if they would not
@@ -131,17 +132,12 @@ def build_transfer_model(k: int) -> TransferModel:
     at once, and `cache_info()` counts hits and misses since the last miss."""
     if k < 1:  # before the cached width is dropped
         raise ValueError(f"k must be >= 1, got {k}")
-    # Fib(k + 1), Fib(k + 2), from the 1-row column up; the loop stops as
-    # soon as the tables pass the limit, so a huge k is refused at once.
-    limit = address_space()
+    # Fib(k + 1), Fib(k + 2), from the 1-row column up; the tables are admitted
+    # at each count, so a huge k is refused as soon as they pass the limit.
     fewer, count = 1, 2
     for _ in range(k - 1):
         fewer, count = count, fewer + count
-        if k * count * BYTES_PER_ENTRY > limit:
-            raise MemoryError(
-                f"the width-{k} transfer tables need more than the {limit} bytes "
-                "of address space"
-            )
+        admit(f"the width-{k} transfer tables", k * count * BYTES_PER_ENTRY)
     _drop_cached_width()
     paths = _path_sets(k)
     states = tuple(paths[k])
@@ -254,8 +250,10 @@ def _chi_terms(k: int, start: int = 1) -> Iterator[int]:
     obeys the same recurrence, and e consecutive zeros make w zero throughout.
     Then the held terms repeat, the first at the phase of max(start, 2L + 1),
     so a far start costs no more than a near one; with no such p the rest
-    come from the recurrence's last e terms alone, and the terms before start
-    are still walked.  Nothing is computed before it is asked for.
+    come from the recurrence's last e terms alone.  On the walk to start, the
+    first n with chi(n - e + 1..n) = chi(1..e) proves period n - e the same
+    way, and the rest of the walk is reduced modulo it, so only a width with
+    no period walks all the way.  Nothing is computed before it is asked for.
     """
     model = build_transfer_model(k)
     order = len(model.states) + 1
@@ -278,9 +276,12 @@ def _chi_terms(k: int, start: int = 1) -> Iterator[int]:
     if period:
         yield from islice(cycle(held[:period]), (len(held) + skip) % period, None)
     nonzero = [(i, a) for i, a in enumerate(coeffs, 1) if a]
-    last = deque(held[-e:], e)
-    for _ in range(skip):
+    last, first, n = deque(held[-e:], e), deque(head), len(held)
+    while skip:
         last.append(sum(a * last[-i] for i, a in nonzero))
+        n, skip = n + 1, skip - 1
+        if last == first:  # chi(n - e + 1..n) = chi(1..e): period n - e
+            skip %= n - e
     while True:
         chi = 0
         for i, a in nonzero:

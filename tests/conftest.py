@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from indcomplex.faces import BYTES_PER_FACE
 from indcomplex.graphs import Graph, build_gamma, delete_vertices, graph_to_json_dict
 from indcomplex.verify import graphs_with_splits  # noqa: F401  (re-exported for the tests)
 
@@ -84,10 +85,11 @@ def rng():
 
 @pytest.fixture
 def face_budget_of(monkeypatch):
-    """Call with a face count to make it the face budget for one test."""
+    """Call with a face count to make the address space hold exactly that many
+    faces at BYTES_PER_FACE for one test; it lowers every other guard too."""
 
     def set_budget(faces: int) -> None:
-        monkeypatch.setattr("indcomplex.faces.face_budget", lambda: faces)
+        monkeypatch.setattr("indcomplex.graphs.address_space", lambda: faces * BYTES_PER_FACE)
 
     return set_budget
 

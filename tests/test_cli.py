@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from indcomplex import (
-    Family, betti_of_family, build_family, build_gamma, expected_f6, predict_family, predict_gamma,
+    Family, betti_of_family, build_family, build_gamma, euler_chi, expected_f6, predict_family,
+    predict_gamma,
 )
 from indcomplex.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from indcomplex.graphs import graph_to_json_dict
@@ -47,7 +48,7 @@ class TestPredict:
     def test_band_that_cannot_fit_exits_3_at_once(self, capsys, monkeypatch, family):
         # n = 10^9 has a band of about 71 M sphere dimensions, some 24 GB
         # at the measured 341 B each; n = 10^5 has 7,143.
-        monkeypatch.setattr("indcomplex.predictor.address_space", lambda: 1 << 30)
+        monkeypatch.setattr("indcomplex.graphs.address_space", lambda: 1 << 30)
         started = time.perf_counter()
         code, out, err = run(capsys, "predict", "--n", "1000000000", "--family", family)
         assert time.perf_counter() - started < 0.5
@@ -312,6 +313,19 @@ class TestEuler:
         assert code == EXIT_OK
         rows = [tuple(map(int, line.split(","))) for line in out.strip().splitlines()[1:]]
         assert rows == [(n, expected_f6(n)) for n in range(lo, lo + 28)]
+
+    def test_point_query_at_10_to_the_18_proves_a_period_past_the_held_terms(self):
+        # Width 5 holds 28 terms, too few to show its period 40; the walk to
+        # n proves it and reduces the rest of the walk modulo 40.  A child
+        # with a timeout keeps a walk to 10^18 from hanging the suite.
+        n = 10**18
+        started = time.perf_counter()
+        proc = run_capped(
+            ["-m", "indcomplex.cli", "euler", "--n", str(n), "--k", "5"], 1 << 30, timeout=10
+        )
+        assert time.perf_counter() - started < 2.0
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["chi"] == euler_chi((n - 1) % 40 + 1, 5)
 
     def test_sweep_holds_only_the_rows_it_prints(self, capsys):
         # A list of the first 200,000 terms alone takes 1.6 MB.

@@ -69,7 +69,7 @@ class TestEnumerateFaces:
             faces_by_dimension(build_gamma(3, 3))
         # Under 4 the sweep's own states already outnumber the budget.
         face_budget_of(4)
-        with pytest.raises(FaceBudgetExceeded, match="first 3 of 9 vertices"):
+        with pytest.raises(FaceBudgetExceeded, match="sweep's first 3 of 9 vertices may need"):
             count_faces(build_gamma(3, 3))
 
     def test_counts_only_when_the_budget_could_be_exceeded(self, monkeypatch, face_budget_of):
@@ -88,16 +88,25 @@ class TestEnumerateFaces:
         assert faces_by_dimension(g) == faces
         assert counted == [14]
         face_budget_of(5)
-        with pytest.raises(FaceBudgetExceeded, match="exceed the budget of 5"):
+        with pytest.raises(FaceBudgetExceeded, match=f"^63 faces may need {63 * BYTES_PER_FACE} "
+                           f"bytes, more than the {5 * BYTES_PER_FACE} bytes of address space$"):
             faces_by_dimension(build_gamma(3, 3))
         assert counted == [14, 9]
 
     def test_budget_follows_address_space_limit(self):
-        proc = run_capped(
-            ["-c", "from indcomplex.faces import face_budget; print(face_budget())"], 1 << 30
+        # Under a 1 GiB cap the face guards admit (1 << 30) // BYTES_PER_FACE
+        # faces and refuse one more.
+        faces = (1 << 30) // BYTES_PER_FACE
+        script = (
+            "from indcomplex.faces import BYTES_PER_FACE, FaceBudgetExceeded\n"
+            "from indcomplex.graphs import admit\n"
+            f"admit('{faces} faces', {faces} * BYTES_PER_FACE, FaceBudgetExceeded)\n"
+            f"admit('{faces + 1} faces', {faces + 1} * BYTES_PER_FACE, FaceBudgetExceeded)\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == (1 << 30) // BYTES_PER_FACE
+        proc = run_capped(["-c", script], 1 << 30)
+        assert proc.returncode == 1
+        assert f"FaceBudgetExceeded: {faces + 1} faces may need" in proc.stderr
+        assert f"than the {1 << 30} bytes of address space" in proc.stderr
 
     def test_count_has_no_vertex_cap(self):
         # 42 vertices in one component: the sweep counts it exactly.

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indcomplex import Family, GraphError, build_family, build_gamma
+from indcomplex import Family, GraphError, build_family, build_gamma, predict_gamma, transfer
+from indcomplex.faces import count_faces, faces_by_dimension, link_graph
 from indcomplex.fold import reduce_graph, reduce_with_splits
 from indcomplex.graphs import (
     FAMILY_KINDS,
@@ -14,7 +15,6 @@ from indcomplex.graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
 )
-from indcomplex.faces import link_graph
 
 from conftest import edge_list
 
@@ -217,6 +217,26 @@ def test_json_graph_whose_masks_do_not_fit(monkeypatch):
     }
     with pytest.raises(MemoryError, match="neighbor masks of 40000 vertices"):
         graph_from_json_dict(data)
+
+
+def test_one_address_space_lowers_every_guard(monkeypatch):
+    # Each input is small, but 64 KiB holds none of them, and every guard
+    # reads the limit through graphs.address_space.
+    monkeypatch.setattr("indcomplex.graphs.address_space", lambda: 64 << 10)
+    transfer.build_transfer_model.cache_clear()  # a cached width is not checked again
+    path = {"vertices": [[1, y] for y in range(1, 2001)], "edges": []}
+    guards = [
+        ("the neighbor masks of 2000 vertices", lambda: build_gamma(1, 2000)),
+        ("the neighbor masks of 2000 vertices", lambda: graph_from_json_dict(path)),
+        ("the width-12 transfer tables", lambda: transfer.build_transfer_model(12)),
+        ("a band of 100 sphere dimensions", lambda: predict_gamma(14 * 100 + 1)),
+        ("the face sweep's first", lambda: count_faces(build_gamma(3, 12))),
+        ("239 faces", lambda: faces_by_dimension(build_gamma(2, 6))),
+    ]
+    for what, guarded in guards:
+        shape = rf"^{what}.* may need \d+ bytes, more than the {64 << 10} bytes of address space$"
+        with pytest.raises(MemoryError, match=shape):
+            guarded()
 
 
 def test_graph_rejects_loops_and_bad_indices():

@@ -246,10 +246,24 @@ class TestEulerChi:
         assert euler_chi(n, k) == cycle[(n - 1) % len(cycle)]
         assert len(step_calls) == steps
 
-    @pytest.mark.parametrize("k", [1, 2, 4, 5, 6, 7])
+    @pytest.mark.parametrize("k,period", [(1, 6), (3, 8), (5, 40), (9, 3640)])
+    def test_point_query_past_a_period_beyond_the_held_terms(self, k, period):
+        # 2L held terms are too few to show these periods.  The walk to n
+        # proves one once its last e terms repeat the first e, and reduces
+        # the rest modulo it; walking all of it took 0.5-4.5 s at n = 10^6.
+        sweep = euler_sweep(k, 2 * period)
+        assert sweep[period:] == sweep[:period]
+        n = 10**7
+        started = time.perf_counter()
+        chi = euler_chi(n, k)
+        assert time.perf_counter() - started < 0.5
+        assert chi == sweep[(n - 1) % period]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
     def test_terms_from_any_start_match_the_sweep(self, k):
-        # Widths 2 and 6 cycle a proven period, widths 1, 4, 5 and 7 continue
-        # by their recurrence; each start lands before, at or past 2L.
+        # Widths 2 and 6 cycle a proven period, widths 1, 3, 4, 5 and 7
+        # continue by their recurrence, and 1, 3 and 5 prove a longer period
+        # on the walk to a far start; each start lands before, at or past 2L.
         sweep = euler_sweep(k, 500)
         for start in (1, 2, 27, 28, 29, 44, 45, 46, 100, 457, 500):
             assert list(islice(_chi_terms(k, start), 501 - start)) == sweep[start - 1 :], start
