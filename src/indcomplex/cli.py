@@ -26,7 +26,7 @@ from .graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
 )
-from .fold import reduce_graph
+from .fold import reduce_with_splits
 from .homology import betti_of_family
 from .predictor import predict_family
 from .transfer import _chi_terms, build_transfer_model, euler_chi
@@ -121,9 +121,7 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    g = _load_graph(args.input)
-    trace = reduce_graph(g)
-    _emit(trace.to_json_dict())
+    _emit(reduce_with_splits(_load_graph(args.input)).to_json_dict())
     return EXIT_OK
 
 
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_euler.add_argument("--input", help="graph JSON file for --method enumerate")
     p_euler.set_defaults(func=_cmd_euler)
 
-    p_reduce = sub.add_parser("reduce", help="fold-reduce a graph (JSON in, JSON out)")
+    p_reduce = sub.add_parser("reduce", help="fold-and-split trace of a graph (JSON in, JSON out)")
     p_reduce.add_argument("--input", help="graph JSON file (default: stdin)")
     p_reduce.set_defaults(func=_cmd_reduce)
 

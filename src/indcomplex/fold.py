@@ -263,7 +263,10 @@ class _Alive:
 
 
 def reduce_graph(g: Graph) -> ReductionTrace:
-    """Exhaustively apply cone / K2-strip / fold moves, in that priority.
+    """Exhaustively apply cone / K2-strip / fold moves, in that priority: the
+    fold-only prefix of the `reduce_with_splits` trace.  The package does not
+    call it; the benchmark's `fold_closed` workload and counting hook look it
+    up by name, and the tests use it as the fold oracle.
 
     I(residual) suspended `suspensions` times is homotopy equivalent to
     I(g); if `contractible` is set the whole complex is contractible and
@@ -282,20 +285,20 @@ def reduce_graph(g: Graph) -> ReductionTrace:
 
 def reduce_with_splits(g: Graph) -> ReductionTrace:
     """Fold-reduce g, then split off each vertex whose link or deletion
-    folds to a cone, folding again after each split.
+    folds to a cone, folding again after each split: the trace that the
+    `reduce` command prints and homology computes on.
 
     I(G) = I(G - v) u cone I(G - N[v]).  So if I(G - N[v]) is contractible
     then I(G) ~ I(G - v): a LinkCone move deletes v.  If I(G - v) is
     contractible then I(G) ~ S I(G - N[v]): a DeletionCone move deletes N[v]
     and adds a suspension.  A complex counts as contractible only when the
-    fold, run on the fold-stuck graph minus those vertices, reaches a cone;
-    that is, when `reduce_graph` on that induced subgraph would.  Vertices
-    are tried lowest first, the link before the deletion, and after each
-    split the scan starts again at the lowest vertex.  The splits continue
-    the fold's own state over g, so the moves begin with those of
-    `reduce_graph(g)`, and the trace is that one when the fold reaches a
+    fold, run on the fold-stuck graph minus those vertices, reaches a cone.
+    Vertices are tried lowest first, the link before the deletion, and the
+    scan restarts at the lowest vertex after each split, as a split can let
+    a lower vertex split (in a(9), the split at 25 lets 14 split).  The
+    moves begin with the fold's, and are only those when the fold reaches a
     cone or the empty graph.  I(g) is I(residual) suspended `suspensions`
-    times, as for `reduce_graph`; the residual is built once, at the end.
+    times, or a cone if `contractible`; the residual is built once.
     """
     state = _Alive.of(g)
     moves: list[Move] = []

@@ -310,14 +310,17 @@ def period_detect(k: int, max_n: int) -> int | None:
     chi satisfies a monic integer recurrence of degree L = #states + 1, and
     so does w(n) = chi(n + p) - chi(n), as shifts commute; w is zero once L
     consecutive terms are (see `_recurrence`).  So chi(n + p) = chi(n) for
-    n = 1..L proves period p for every n.
+    n = 1..L proves period p for every n.  The terms stream through a window
+    of L, so memory does not grow with max_n.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     order = len(build_transfer_model(k).states) + 1
-    values = euler_sweep(k, max_n + order)
-    head = values[:order]
-    for p in range(1, max_n + 1):
-        if values[p : p + order] == head:
+    terms = _chi_terms(k)
+    head = deque(islice(terms, order), maxlen=order)
+    window = head.copy()
+    for p, chi in zip(range(1, max_n + 1), terms):
+        window.append(chi)
+        if window == head:
             return p
     return None

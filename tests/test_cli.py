@@ -9,16 +9,18 @@ from pathlib import Path
 import pytest
 
 from indcomplex import (
-    Family, betti_of_family, build_family, build_gamma, euler_chi, expected_f6, predict_family,
-    predict_gamma,
+    Family, betti_of_family, build_family, build_gamma, euler_chi, expected_f6,
+    homotopy_type_if_closed, predict_family, predict_gamma,
 )
 from indcomplex.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from indcomplex.graphs import graph_to_json_dict
+from indcomplex.fold import reduce_with_splits
+from indcomplex.graphs import FAMILY_KINDS, graph_from_json_dict, graph_to_json_dict
+from indcomplex.homology import betti_of_graph, betti_over_field
 from indcomplex.linalg import MR_BOUND
 from indcomplex.transfer import build_transfer_model
 from indcomplex.verify import Case, VerificationReport
 
-from conftest import run_capped
+from conftest import graphs_with_splits, run_capped
 
 
 def run(capsys, *argv):
@@ -398,13 +400,41 @@ class TestEuler:
 
 
 class TestReduce:
-    def test_roundtrip(self, capsys, tmp_path):
-        g = build_family(Family("y", 1))
-        path = tmp_path / "y1.json"
+    @staticmethod
+    def reduce(capsys, tmp_path, g):
+        path = tmp_path / "g.json"
         path.write_text(json.dumps(graph_to_json_dict(g)))
         code, out, _ = run(capsys, "reduce", "--input", str(path))
         assert code == EXIT_OK
-        payload = json.loads(out)
+        return json.loads(out)
+
+    def test_gamma_5_prints_the_split_trace(self, capsys, tmp_path):
+        # The fold alone leaves 26 vertices; three splits take them all.
+        g = build_gamma(5, 6)
+        payload = self.reduce(capsys, tmp_path, g)
+        assert payload["residual"]["vertices"] == []
+        assert (payload["suspensions"], payload["contractible"]) == (8, False)
+        kinds = [m["kind"] for m in payload["moves"]]
+        assert kinds.count("link_cone") + kinds.count("deletion_cone") == 3
+        trace = reduce_with_splits(g)
+        assert payload == trace.to_json_dict()
+        assert homotopy_type_if_closed(trace) == predict_gamma(5)
+
+    def test_prints_the_trace_homology_computes_on(self, capsys, tmp_path):
+        families = [Family(kind, n) for kind in FAMILY_KINDS for n in range(1, 8)]
+        graphs = [build_family(f) for f in families] + graphs_with_splits(seed=3011, count=6)
+        for g in graphs:
+            payload = self.reduce(capsys, tmp_path, g)
+            assert payload == reduce_with_splits(g).to_json_dict()
+            # Γ(7,6)'s residual has 23.8 M faces, too many to enumerate in a test.
+            if g.family == Family("gamma", 7) or payload["contractible"]:
+                continue
+            residual = graph_from_json_dict(payload["residual"])
+            shifted = betti_over_field(residual, 2).shifted(payload["suspensions"])
+            assert shifted.reduced_betti == betti_of_graph(g).reduced_betti
+
+    def test_roundtrip(self, capsys, tmp_path):
+        payload = self.reduce(capsys, tmp_path, build_family(Family("y", 1)))
         assert payload["contractible"] is False
         assert payload["suspensions"] == 2
         assert payload["residual"]["vertices"] == []

@@ -78,42 +78,50 @@ def reference_reduce(g):
     return ReductionTrace(tuple(moves), suspensions, False, current)
 
 
+def can_split(g, v):
+    """Whether the fold takes I(g - N[v]) or I(g - v) to a cone."""
+    star = g.neighbor_masks[v] | 1 << v
+    return any(reduce_graph(delete_vertices(g, gone)).contractible for gone in (star, 1 << v))
+
+
+def replay_move(current, move):
+    """Check the condition of move on the graph current, rebuilt by
+    delete_vertices; return the graph after it and the suspensions it adds.
+    A split's contractible subgraph must make reduce_graph end in a cone."""
+    nbrs = current.neighbor_masks
+    if isinstance(move, Cone):
+        assert nbrs[current.index(move.v)] == 0
+        return current, 0
+    if isinstance(move, Fold):
+        v, w = current.index(move.v), current.index(move.w)
+        assert not nbrs[v] & ~nbrs[w]
+        return delete_vertices(current, 1 << w), 0
+    if isinstance(move, StripK2):
+        a, b = current.index(move.a), current.index(move.b)
+        assert nbrs[a] == 1 << b and nbrs[b] == 1 << a
+        return delete_vertices(current, 1 << a | 1 << b), 1
+    v = current.index(move.v)
+    star = nbrs[v] | 1 << v
+    if isinstance(move, LinkCone):
+        assert reduce_graph(delete_vertices(current, star)).contractible
+        return delete_vertices(current, 1 << v), 0
+    assert isinstance(move, DeletionCone)
+    assert reduce_graph(delete_vertices(current, 1 << v)).contractible
+    return delete_vertices(current, star), 1
+
+
 def replay(g, trace):
-    """Oracle for reduce_with_splits: redo every move of the trace on a graph
-    rebuilt by delete_vertices, checking each move's condition there; a
-    split's contractible subgraph must make reduce_graph end in a cone."""
+    """Oracle for reduce_with_splits: redo every move of the trace by
+    replay_move, then check that nothing is left to split."""
     current, suspensions = g, 0
     for move in trace.moves:
-        nbrs = current.neighbor_masks
         if isinstance(move, Cone):
-            assert nbrs[current.index(move.v)] == 0
             assert move is trace.moves[-1] and trace.contractible
-            continue
-        if isinstance(move, Fold):
-            v, w = current.index(move.v), current.index(move.w)
-            assert not nbrs[v] & ~nbrs[w]
-            gone = 1 << w
-        elif isinstance(move, StripK2):
-            a, b = current.index(move.a), current.index(move.b)
-            assert nbrs[a] == 1 << b and nbrs[b] == 1 << a
-            gone, suspensions = 1 << a | 1 << b, suspensions + 1
-        else:
-            v = current.index(move.v)
-            star = nbrs[v] | 1 << v
-            if isinstance(move, LinkCone):
-                assert reduce_graph(delete_vertices(current, star)).contractible
-                gone = 1 << v
-            else:
-                assert isinstance(move, DeletionCone)
-                assert reduce_graph(delete_vertices(current, 1 << v)).contractible
-                gone, suspensions = star, suspensions + 1
-        current = delete_vertices(current, gone)
+        current, more = replay_move(current, move)
+        suspensions += more
     assert (trace.residual, trace.suspensions) == (current, suspensions)
     if not trace.contractible:
-        # Nothing is left to split: no link and no deletion folds to a cone.
-        for v, mask in enumerate(current.neighbor_masks):
-            assert not reduce_graph(delete_vertices(current, mask | 1 << v)).contractible
-            assert not reduce_graph(delete_vertices(current, 1 << v)).contractible
+        assert not any(can_split(current, v) for v in range(len(current)))
 
 
 class TestFindFold:
@@ -255,6 +263,7 @@ class TestAgainstReference:
     def test_closed(self, kind, n, moves):
         f = Family(kind, n)
         trace = reduce_graph(build_family(f))
+        assert reduce_with_splits(build_family(f)) == trace
         assert len(trace.moves) == moves
         assert len(trace.residual) == 0
         assert homotopy_type_if_closed(trace) == predict_family(f)
@@ -293,6 +302,22 @@ class TestSplits:
         reduce_with_splits(g)
         assert calls.count("of") == 1 and calls.count("delete_vertices") <= 1
         assert "reduce_graph" not in calls
+
+    @pytest.mark.parametrize(
+        "n, order", [(7, [4, 13, 2]), (9, [0, 2, 16, 25, 14])], ids=["a7", "a9"]
+    )
+    def test_split_lets_a_lower_vertex_split(self, n, order):
+        # The scan restarts at the lowest vertex after each split, because a
+        # split can let a lower vertex split: in a(7) the split at 13 lets 2
+        # split, and in a(9) the split at 25 lets 14, which they could not before.
+        g = build_family(Family("a", n))
+        trace = reduce_with_splits(g)
+        at = [i for i, m in enumerate(trace.moves) if isinstance(m, (LinkCone, DeletionCone))]
+        assert [g.index(trace.moves[i].v) for i in at] == order
+        current = g
+        for move in trace.moves[: at[-2]]:
+            current = replay_move(current, move)[0]
+        assert not can_split(current, current.index(g.vertices[order[-1]]))
 
     def test_split_corpus(self):
         for g in graphs_with_splits(seed=3011, count=120):

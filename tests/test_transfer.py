@@ -290,6 +290,19 @@ class TestPeriodDetect:
     def test_window_too_small_returns_none(self):
         assert period_detect(6, 27) is None
 
+    def test_far_bound_streams_its_terms(self):
+        # A list of the 10^8 + L terms below the bound would take 800 MB;
+        # the search returns at the first period, holding a window of L.
+        build_transfer_model(6)
+        tracemalloc.start()
+        try:
+            p = period_detect(6, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p == 28
+        assert peak < 1 << 20
+
     def test_reported_period_verified_on_window(self):
         p = period_detect(6, 120)
         assert p == 28
