@@ -29,8 +29,9 @@ and holds exactly over Z on all 2L terms, which proves it for every n (see
 of order e also proves a period p once chi_(n+p) = chi_n for n = 1..e, since
 their difference obeys it too; then the held terms repeat, and a query
 starting at any n begins at its phase.  Width 6 steps 22 columns, proves
-period 28 from its first 44 terms, and cycles them however large n is; width
-5 proves its period 40, longer than its 28 held terms, on the walk to a far n.
+period 28 from its first 44 terms, and cycles them however large n is.  With
+no period, x^m mod P writes the terms before a far start as sums of held
+terms, so width 4 answers n = 10^18 after its 9 steps.
 
 All arithmetic uses Python integers, which are exact at any size, so no
 overflow handling is needed even where intermediate state-vector entries
@@ -217,6 +218,20 @@ def _recurrence(seq: list[int], order: int) -> list[int] | None:
     return coeffs
 
 
+def _power_of_x(m: int, coeffs: list[int]) -> list[int]:
+    """x^m mod P(x) = x^e - a_1 x^(e-1) - ... - a_e, lowest coefficient first, by
+    square-and-multiply (Fiduccia, "An efficient formula for linear recurrences",
+    1985).  Bit b of m takes r to x^b r^2 by Horner's rule over s -> x s mod P."""
+    low = coeffs[::-1]  # x^e = sum_i low[i] x^i mod P
+    r = [1] + [0] * (len(coeffs) - 1)
+    for bit in bin(m)[2:]:
+        acc = [0] * len(r)
+        for c in reversed([0] * int(bit) + r):  # the coefficients of x^b r, highest first
+            acc = [a * acc[-1] + b + c * t for a, b, t in zip(low, [0, *acc[:-1]], r)]
+        r = acc
+    return r
+
+
 def _column_terms(model: TransferModel) -> Iterator[int]:
     """chi(I(Gamma_{n,k})) for n = 1, 2, ... by the model, two terms a step.
 
@@ -249,11 +264,11 @@ def _chi_terms(k: int, start: int = 1) -> Iterator[int]:
     chi(n) for n = 1..e is a period for every n: w(n) = chi(n + p) - chi(n)
     obeys the same recurrence, and e consecutive zeros make w zero throughout.
     Then the held terms repeat, the first at the phase of max(start, 2L + 1),
-    so a far start costs no more than a near one; with no such p the rest
-    come from the recurrence's last e terms alone.  On the walk to start, the
-    first n with chi(n - e + 1..n) = chi(1..e) proves period n - e the same
-    way, and the rest of the walk is reduced modulo it, so only a width with
-    no period walks all the way.  Nothing is computed before it is asked for.
+    so a far start costs no more than a near one.  With no such p, the e terms
+    before start, from term m on (counting from 0), are sums of held terms:
+    x^m = sum_j r_j x^j mod P (`_power_of_x`) gives chi(m + i) = sum_j r_j
+    chi(i + j), as shifts commute, and i + j < 2e <= 2L.  The recurrence goes
+    on from them.  Nothing is computed before it is asked for.
     """
     model = build_transfer_model(k)
     order = len(model.states) + 1
@@ -271,17 +286,12 @@ def _chi_terms(k: int, start: int = 1) -> Iterator[int]:
         yield from islice(terms, skip, None)
         return
     e = len(coeffs)
-    head = held[:e]
-    period = next((p for p in range(1, 2 * order - e + 1) if held[p : p + e] == head), 0)
+    period = next((p for p in range(1, 2 * order - e + 1) if held[p : p + e] == held[:e]), 0)
     if period:
         yield from islice(cycle(held[:period]), (len(held) + skip) % period, None)
     nonzero = [(i, a) for i, a in enumerate(coeffs, 1) if a]
-    last, first, n = deque(held[-e:], e), deque(head), len(held)
-    while skip:
-        last.append(sum(a * last[-i] for i, a in nonzero))
-        n, skip = n + 1, skip - 1
-        if last == first:  # chi(n - e + 1..n) = chi(1..e): period n - e
-            skip %= n - e
+    r = _power_of_x(len(held) + skip - e, coeffs)
+    last = deque((sum(map(mul, r, held[i : i + e])) for i in range(e)), e)
     while True:
         chi = 0
         for i, a in nonzero:

@@ -30,6 +30,15 @@ def brute_force_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def chi_on_its_line(sweep: list[int], q: int, n: int) -> int:
+    """chi(n) on the line through sweep's terms n0 and n0 + q, the two from
+    n = 200 on in n's class mod q (1-based), for a width whose chi is linear
+    in n on each class mod q."""
+    n0 = 200 + (n - 200) % q
+    lo, hi = sweep[n0 - 1], sweep[n0 + q - 1]
+    return lo + (n - n0) // q * (hi - lo)
+
+
 def random_grid_subgraph(rng: random.Random, max_n: int = 4, max_vertices: int = 20) -> Graph:
     n = rng.randint(1, max_n)
     g = build_gamma(n, 6)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from indcomplex import (
-    Family, betti_of_family, build_family, build_gamma, euler_chi, expected_f6,
+    Family, betti_of_family, build_family, build_gamma, euler_chi, euler_sweep, expected_f6,
     homotopy_type_if_closed, predict_family, predict_gamma,
 )
 from indcomplex.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
@@ -20,7 +20,7 @@ from indcomplex.linalg import MR_BOUND
 from indcomplex.transfer import build_transfer_model
 from indcomplex.verify import Case, VerificationReport
 
-from conftest import graphs_with_splits, run_capped
+from conftest import chi_on_its_line, graphs_with_splits, run_capped
 
 
 def run(capsys, *argv):
@@ -317,9 +317,9 @@ class TestEuler:
         assert rows == [(n, expected_f6(n)) for n in range(lo, lo + 28)]
 
     def test_point_query_at_10_to_the_18_proves_a_period_past_the_held_terms(self):
-        # Width 5 holds 28 terms, too few to show its period 40; the walk to
-        # n proves it and reduces the rest of the walk modulo 40.  A child
-        # with a timeout keeps a walk to 10^18 from hanging the suite.
+        # Width 5 holds 28 terms, too few to show its period 40, so n is
+        # reached by the jump x^m mod P.  A child with a timeout keeps a slow
+        # query from hanging the suite.
         n = 10**18
         started = time.perf_counter()
         proc = run_capped(
@@ -328,6 +328,33 @@ class TestEuler:
         assert time.perf_counter() - started < 2.0
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["chi"] == euler_chi((n - 1) % 40 + 1, 5)
+
+    @pytest.mark.parametrize("k", [4, 7, 14])
+    def test_point_query_at_10_to_the_18_without_a_period(self, k):
+        # No period: the jump x^m mod P follows the 2L held terms, where a
+        # walk to n would never return.
+        n = 10**18
+        started = time.perf_counter()
+        proc = run_capped(
+            ["-m", "indcomplex.cli", "euler", "--n", str(n), "--k", str(k)], 1 << 30, timeout=10
+        )
+        assert time.perf_counter() - started < 2.0
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["chi"] == euler_chi(n, k)
+
+    def test_sweep_past_10_to_the_18_without_a_period(self):
+        # Width 4's chi is linear in n on each class mod 6 (its recurrence is
+        # Phi1 Phi2^2 Phi6), so the line through two swept terms gives each row.
+        lo = 10**18
+        proc = run_capped(
+            ["-m", "indcomplex.cli", "euler", "--k", "4", "--sweep", f"{lo}..{lo + 11}"],
+            1 << 30,
+            timeout=10,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        rows = [tuple(map(int, line.split(","))) for line in proc.stdout.strip().splitlines()[1:]]
+        sweep = euler_sweep(4, 212)
+        assert rows == [(n, chi_on_its_line(sweep, 6, n)) for n in range(lo, lo + 12)]
 
     def test_sweep_holds_only_the_rows_it_prints(self, capsys):
         # A list of the first 200,000 terms alone takes 1.6 MB.

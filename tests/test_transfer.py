@@ -11,7 +11,7 @@ from indcomplex.faces import euler_from_fvector, f_vector
 from indcomplex.transfer import _chi_terms, _recurrence, build_transfer_model
 from indcomplex.predictor import F6_PERIOD
 
-from conftest import run_capped
+from conftest import chi_on_its_line, run_capped
 
 
 def reference_sweep(k, max_n):
@@ -248,9 +248,8 @@ class TestEulerChi:
 
     @pytest.mark.parametrize("k,period", [(1, 6), (3, 8), (5, 40), (9, 3640)])
     def test_point_query_past_a_period_beyond_the_held_terms(self, k, period):
-        # 2L held terms are too few to show these periods.  The walk to n
-        # proves one once its last e terms repeat the first e, and reduces
-        # the rest modulo it; walking all of it took 0.5-4.5 s at n = 10^6.
+        # 2L held terms are too few to show these periods, so n is reached by
+        # the jump x^m mod P, not by a walk; a walk to n = 10^6 took 0.5-4.5 s.
         sweep = euler_sweep(k, 2 * period)
         assert sweep[period:] == sweep[:period]
         n = 10**7
@@ -259,14 +258,37 @@ class TestEulerChi:
         assert time.perf_counter() - started < 0.5
         assert chi == sweep[(n - 1) % period]
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 10])
     def test_terms_from_any_start_match_the_sweep(self, k):
-        # Widths 2 and 6 cycle a proven period, widths 1, 3, 4, 5 and 7
-        # continue by their recurrence, and 1, 3 and 5 prove a longer period
-        # on the walk to a far start; each start lands before, at or past 2L.
+        # Widths 2 and 6 cycle a proven period, and the others jump to a start
+        # past 2L by x^m mod P and continue by their recurrence; each start
+        # lands before, at or past 2L.
         sweep = euler_sweep(k, 500)
         for start in (1, 2, 27, 28, 29, 44, 45, 46, 100, 457, 500):
             assert list(islice(_chi_terms(k, start), 501 - start)) == sweep[start - 1 :], start
+
+    @pytest.mark.parametrize("k,q", [(4, 6), (7, 72), (8, 176), (10, 180)])
+    def test_far_query_without_a_period_is_linear_on_each_class(self, k, q):
+        # These recurrences have only cyclotomic factors, and the only repeated
+        # ones are Phi_2^2, Phi_3^2 and Phi_6^2, so chi is linear in n on each
+        # class mod q, the period of the cyclotomic part.  The line through two
+        # stepped terms past n = 200 is an oracle that uses no recurrence.
+        sweep = reference_sweep(k, 200 + 2 * q)
+        for n in (10**18, 10**18 + 1, 12_345_678_901_234_567):
+            assert euler_chi(n, k) == chi_on_its_line(sweep, q, n), n
+
+    def test_far_query_without_a_period_steps_only_its_held_terms(self, step_calls):
+        # Width 4 holds 2L = 18 terms in 9 steps; x^m mod P gives the rest.
+        build_transfer_model(4)
+        tracemalloc.start()
+        try:
+            chi = euler_chi(10**18, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chi == -333_333_333_333_333_333
+        assert len(step_calls) == 9
+        assert peak < 1 << 20
 
     @given(st.integers(1, 60))
     @settings(max_examples=25, deadline=None)
