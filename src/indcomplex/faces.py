@@ -4,8 +4,8 @@ A graph is treated implicitly as its independence complex: faces are the
 independent vertex sets as bitmasks, the empty face 0 included.  One vertex
 sweep of the independence polynomial counts the faces, by size if asked,
 without listing them.  Enumeration, which homology needs, is admitted only
-if its faces, counted exactly first, fit the address space at BYTES_PER_FACE
-each.
+if its faces fit the address space at BYTES_PER_FACE each: unless 2^|V|
+faces, the most any graph has, fit, they are counted exactly first.
 """
 
 from __future__ import annotations

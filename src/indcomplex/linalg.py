@@ -32,6 +32,7 @@ every pivot row, is the same as on the built columns.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Mapping
 
 # Miller-Rabin on the 13 prime bases up to 41 is exact below this bound, the
@@ -175,15 +176,18 @@ def _z_step(col: dict[int, int], piv: dict[int, int], r: int, pivots: dict) -> d
 
 
 def integer_column_echelon(
-    columns: Iterable[Mapping[int, int]],
-) -> dict[int, dict[int, int]]:
-    """Column echelon form over Z via unimodular column operations.
+    columns: Iterable, build: Callable[[int], dict[int, int]] | None = None
+) -> dict:
+    """Column echelon form over Z via unimodular column operations, of
+    sparse columns or of face masks that `build` makes (see `_eliminate`).
 
     Returns the pivot columns keyed by their lowest nonzero row.  The
     number of pivots is the rank over Q (and over Z), and the pivot columns
     span the same lattice as the input columns.
     """
-    return _eliminate(({r: v for r, v in raw.items() if v} for raw in columns), _z_step)
+    if build is None:
+        columns = ({r: v for r, v in raw.items() if v} for raw in columns)
+    return _eliminate(columns, _z_step, build)
 
 
 def smith_invariant_factors(
@@ -194,12 +198,12 @@ def smith_invariant_factors(
     `build` makes (see `_eliminate`): one positive factor per pivot.
 
     Each unit pivot's row maps to 1.  The other pivot columns are cleared at
-    the unit pivot rows and finished by a small dense Smith reduction, whose
-    diagonal goes, in divisibility order, under the keys ~r < 0 of their
-    pivot rows r.  So the values, in order, are the invariant factors
-    d_1 | d_2 | ... | d_rank, and the cokernel is torsion-free iff all are 1.
+    the unit pivot rows and finished by `_smith_finish`, whose diagonal goes,
+    in divisibility order, under the keys ~r < 0 of their pivot rows r.  So
+    the values, in order, are the invariant factors d_1 | d_2 | ... |
+    d_rank, and the cokernel is torsion-free iff all are 1.
     """
-    pivots = _eliminate(columns, _z_step, build) if build else integer_column_echelon(columns)
+    pivots = integer_column_echelon(columns, build)
     # A stored face mask is an unbuilt boundary column: its pivot is +-1.
     units = {r: col for r, col in pivots.items() if type(col) is int or abs(col[r]) == 1}
     rest = {r: col for r, col in sorted(pivots.items()) if r not in units}
@@ -214,43 +218,35 @@ def smith_invariant_factors(
                     unit = units[r] = build(unit)
                 col = _combine(1, col, -v * unit[r], unit)
         rest[j] = col
-    # One dense row per column: the transpose has the same Smith form.
-    rows = sorted({r for col in rest.values() for r in col})
-    diagonal = _dense_smith_diagonal([[col.get(r, 0) for r in rows] for col in rest.values()])
     factors = dict.fromkeys(units, 1)
-    factors.update(zip([~r for r in rest], diagonal))
+    factors.update(zip([~r for r in rest], _smith_finish(rest)))
     return factors
 
 
-def _dense_smith_diagonal(mat: list[list[int]]) -> list[int]:
-    """Classical Smith reduction of a dense integer matrix.
+def _smith_finish(block: dict[int, dict[int, int]]) -> list[int]:
+    """Invariant factors, in divisibility order, of a column echelon block
+    keyed by pivot row.
 
-    Returns the positive diagonal entries in divisibility order.  Each pass
-    moves an entry of least absolute value to the corner and reduces its row
-    and column by it; a nonzero remainder, or an entry it does not divide
-    (whose row is added to the corner's), is smaller than the corner or
-    leaves one that is, so passes end.
+    Each pass runs the shared echelon on the transpose, its vectors fed
+    lowest label first, until every vector keeps one entry.  Passes end.
+    After a pass the lowest label L holds one entry, +-gcd of its row: every
+    vector with an entry there has L as its lowest, and unimodular steps
+    keep that gcd.  The next pass reduces this vector first, so its entry
+    becomes the gcd of its column: it keeps its value only if it divides the
+    whole column, which the pass then clears, and otherwise drops to a
+    proper divisor.  Once it divides its row and its column it is alone in
+    both, and no later pass touches it; the same then holds for the next
+    label.  Last, diag(a, b) ~ diag(gcd(a, b), lcm(a, b)) on each pair in
+    order puts the diagonal in divisibility order.
     """
-    diag: list[int] = []
-    while entries := [(abs(v), i, j) for i, row in enumerate(mat) for j, v in enumerate(row) if v]:
-        _, i, j = min(entries)
-        mat[0], mat[i] = mat[i], mat[0]
-        for row in mat:
-            row[0], row[j] = row[j], row[0]
-        corner = mat[0][0]
-        for row in mat[1:]:
-            q = row[0] // corner
-            row[:] = [v - q * c for v, c in zip(row, mat[0])]
-        for k in range(1, len(mat[0])):
-            q = mat[0][k] // corner
-            for row in mat:
-                row[k] -= q * row[0]
-        if any(row[0] for row in mat[1:]) or any(mat[0][1:]):
-            continue
-        offender = next((row for row in mat[1:] if any(v % corner for v in row)), None)
-        if offender is not None:
-            mat[0] = [a + b for a, b in zip(mat[0], offender)]
-            continue
-        diag.append(abs(corner))
-        mat = [row[1:] for row in mat[1:]]
+    while any(len(vec) > 1 for vec in block.values()):
+        transpose: dict[int, dict[int, int]] = {}
+        for j, vec in block.items():
+            for i, v in vec.items():
+                transpose.setdefault(i, {})[j] = v
+        block = _eliminate((transpose[i] for i in sorted(transpose)), _z_step)
+    diag = [abs(v) for vec in block.values() for v in vec.values()]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = math.gcd(diag[i], diag[j]), math.lcm(diag[i], diag[j])
     return diag

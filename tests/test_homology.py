@@ -181,18 +181,18 @@ class TestIntegralHomology:
         assert betti_of_graph(g, "gf2").reduced_betti == {1: 1, 2: 1}
         assert betti_of_graph(g, "gf3").reduced_betti == {}
 
-    def test_non_unit_pivots_keep_the_dense_block_small(self, monkeypatch):
+    def test_non_unit_pivots_keep_the_block_small(self, monkeypatch):
         # RP^2 joined with I(Γ(2,6)) = S^2 has 43,498 faces and one non-unit
-        # pivot; only that pivot's column may reach the dense Smith step.  The
+        # pivot; only that pivot's column may reach the Smith finish.  The
         # same holds for RP^2 joined with itself, with torsion in two dimensions.
-        dense = linalg._dense_smith_diagonal
+        finish = linalg._smith_finish
 
-        def small_only(mat):
-            size = len(mat) * len(mat[0]) if mat else 0
-            assert size <= 10_000, f"dense Smith block of {size} entries"
-            return dense(mat)
+        def small_only(block):
+            size = sum(map(len, block.values()))
+            assert size <= 10_000, f"Smith block of {size} entries"
+            return finish(block)
 
-        monkeypatch.setattr(linalg, "_dense_smith_diagonal", small_only)
+        monkeypatch.setattr(linalg, "_smith_finish", small_only)
         profile = integral_homology(disjoint_union(flag_rp2(), build_gamma(2, 6)))
         assert profile.torsion == ((4, 2),)
         assert profile.reduced_betti == {}
@@ -324,7 +324,7 @@ class TestLazyColumns:
             ) == linalg._eliminate(sets, linalg._gf2_step)
             # Over Z the pivot columns themselves agree, once built.
             assert self.built(
-                linalg._eliminate(group, linalg._z_step, _signed_facets), _signed_facets
+                linalg.integer_column_echelon(group, _signed_facets), _signed_facets
             ) == linalg.integer_column_echelon(signed)
             assert linalg.smith_invariant_factors(
                 group, _signed_facets

@@ -37,6 +37,41 @@ def rational_rank(rows):
     return rank
 
 
+def modq_rank_oracle(rows, q):
+    """Oracle: row reduction mod the prime q on a dense copy."""
+    mat = [[v % q for v in row] for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][c], -1, q)
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] * inv
+            mat[i] = [(a - f * b) % q for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_det(rows):
+    """Oracle: determinant by elimination with exact fractions."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(mat)):
+        pivot = next((i for i in range(c, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
 def modp_rank_dense_oracle(rows, p):
     """Oracle: brute-force rank over GF(p) via all square minors."""
     m, n = len(rows), len(rows[0]) if rows else 0
@@ -207,6 +242,11 @@ class TestSmith:
             ([[2, 0], [0, 2]], [2, 2]),
             ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]),
             ([[0, 0], [0, 0]], []),
+            ([[4, 0], [0, 6]], [2, 12]),
+            ([[4, 6, 10]], [2]),
+            ([[4], [6], [10]], [2]),
+            ([[2**71, 0], [0, 3 * 2**70]], [2**70, 3 * 2**71]),
+            ([[2**71, 2**70], [0, 2**72]], [2**70, 2**73]),
         ],
     )
     def test_known_matrices(self, rows, expected):
@@ -229,6 +269,34 @@ class TestSmith:
     def test_divisibility_chain(self, rows):
         factors = list(smith_invariant_factors(as_columns(rows)).values())
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+    @pytest.mark.parametrize("square", [False, True])
+    def test_larger_matrices_match_rank_and_determinant_oracles(self, square):
+        # Up to 9x9, where the finish takes several passes; the oracles use no
+        # elimination of the package.  d_i is divisible by q for exactly
+        # rank over Q minus rank over GF(q) factors.
+        rng = random.Random(3)
+        tested = 0
+        while tested < 400:
+            m = rng.randint(1, 9)
+            n = m if square else rng.randint(1, 9)
+            bound, density = rng.choice([1, 3, 30]), rng.random()
+            rows = [
+                [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)
+            ]
+            det = fraction_det(rows) if square else None
+            if det == 0:
+                continue
+            tested += 1
+            factors = list(smith_invariant_factors(as_columns(rows)).values())
+            assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+            rank = rational_rank(rows)
+            assert len(factors) == rank
+            for q in (2, 3, 5, 7):
+                assert sum(d % q == 0 for d in factors) == rank - modq_rank_oracle(rows, q)
+            if square:
+                assert math.prod(factors) == abs(det)
 
     def test_stored_unit_pivot_is_built_only_for_a_non_unit_column(self):
         # Face masks whose lowest rows, read off the mask (the face minus its
