@@ -1,11 +1,15 @@
 """Independence-complex faces: exact counts, f-vectors and enumeration.
 
 A graph is treated implicitly as its independence complex: faces are the
-independent vertex sets as bitmasks, the empty face 0 included.  One vertex
-sweep of the independence polynomial counts the faces, by size if asked,
-without listing them.  Enumeration, which homology needs, is admitted only
-if its faces fit the address space at BYTES_PER_FACE each: unless 2^|V|
-faces, the most any graph has, fit, they are counted exactly first.
+independent vertex sets as bitmasks, the empty face 0 included.  Counting
+and enumeration both sweep the vertices in index order, by the recursion
+I(G) = I(G - v) + x·I(G - N[v]): the faces on the first v + 1 vertices are
+those on the first v, plus each of them that has no neighbor of v, with v
+added.  The count sums the partial faces by the later vertices they ban,
+without listing them; enumeration, which homology needs, keeps the faces
+themselves.  It is admitted only if its faces fit the address space at
+BYTES_PER_FACE each: unless 2^|V| faces, the most any graph has, fit, they
+are counted exactly first.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from .graphs import Graph, GraphError, admit, delete_vertices
 
 # Peak memory per face, with headroom.  Peak RSS over faces, interpreter
 # included, from face lists through elimination (CPython 3.11, x86-64) on fold
-# residuals: 163 B Γ(6,6), 181 B a(7) over GF(2); 222 B Γ(5,6) over Z.
+# residuals: 163 B Γ(6,6), 181 B a(7) over GF(2); 222 B Γ(5,6) over Z.  The
+# elimination sets the peak: the sweep's one temporary list per vertex and
+# size does not raise it.
 BYTES_PER_FACE = 512
 
 
@@ -57,25 +63,33 @@ def faces_by_dimension(g: Graph) -> dict[int, list[int]]:
     """Every independent set of g as a vertex bitmask, grouped by dimension
     (|face| - 1) with the empty face 0 at -1, each group in descending order.
     Unless 2^|V| faces, the most any graph has, fit, the faces are counted
-    first and refused if they do not."""
+    first and refused if they do not.
+
+    One sweep over the vertices: by_size[s] holds the s-vertex faces on the
+    vertices seen so far, and vertex v appends to it each (s - 1)-vertex face
+    that has no neighbor of v, with v added.  The sizes are extended from the
+    top down, so each reads the size below before v has been added to it,
+    and no face gets v twice.  Each list stays ascending, since every face
+    appended holds v, above all bits of the faces before it, and the faces it
+    was made from were ascending; one reversal per list gives the descending
+    order.
+    """
     try:
         admit(f"2^{len(g)} faces", (1 << len(g)) * BYTES_PER_FACE)
     except MemoryError:
         total = count_faces(g)
         admit(f"{total} faces", total * BYTES_PER_FACE, FaceBudgetExceeded)
-    out: dict[int, list[int]] = {-1: [0]}
-    nbrs = g.neighbor_masks
-
-    def extend(face: int, free: int, d: int) -> None:
-        # Add each vertex below face's lowest that no member bans, highest first.
-        while free:
-            v = free.bit_length() - 1
-            free ^= 1 << v
-            out.setdefault(d, []).append(face | 1 << v)
-            extend(face | 1 << v, free & ~nbrs[v], d + 1)
-
-    extend(0, (1 << len(g)) - 1, 0)
-    return out
+    by_size = [[0]]
+    for v, nbrs in enumerate(g.neighbor_masks):
+        bit = 1 << v
+        by_size.append([])
+        for s in range(len(by_size) - 1, 0, -1):
+            by_size[s] += [f | bit for f in by_size[s - 1] if not f & nbrs]
+        if not by_size[-1]:
+            by_size.pop()
+    for group in by_size:
+        group.reverse()
+    return dict(enumerate(by_size, -1))
 
 
 def f_vector(g: Graph) -> tuple[int, ...]:

@@ -7,7 +7,9 @@ column.  Vertices are kept in column-major lexicographic order so every
 downstream computation (fold scanning, face enumeration) is deterministic.
 A set of vertices is a mask: bit i stands for the vertex of index i, and a
 graph keeps each vertex's neighbors as such a mask.  The masks are its only
-record of the edges; edge lists exist only at the Graph constructor and in JSON.
+record of the edges.  The builders here (the grids, their families and
+induced subgraphs) make the masks directly; edge lists exist only at the
+public Graph(...) constructor, which checks them, and in JSON.
 Every memory guard of the package states its need in bytes to `admit`.
 """
 
@@ -114,6 +116,16 @@ class Graph:
         object.__setattr__(self, "neighbor_masks", tuple(masks))
         object.__setattr__(self, "family", family)
 
+    @classmethod
+    def _of(
+        cls, vertices: tuple[Vertex, ...], masks: tuple[int, ...], family: Family | None = None
+    ) -> Graph:
+        """The graph with these vertices, sorted, and neighbor masks, symmetric; unchecked."""
+        g = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (vertices, masks, family)):
+            object.__setattr__(g, name, value)
+        return g
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
 
@@ -163,12 +175,14 @@ def _grid(n: int, k: int, family: Family, removed: Iterable[Vertex]) -> Graph:
     admit(f"the neighbor masks of {count} vertices", _mask_bytes(count, bits))
     vertices = [(x, y) for x in range(1, n + 1) for y in range(1, k + 1) if (x, y) not in drop]
     index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for x, y in vertices:
+    masks = [0] * count
+    for i, (x, y) in enumerate(vertices):
         for w in ((x + 1, y), (x, y + 1)):
-            if w in index:
-                edges.append((index[(x, y)], index[w]))
-    return Graph(vertices, edges, family=family)
+            j = index.get(w)
+            if j is not None:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return Graph._of(tuple(vertices), tuple(masks), family)
 
 
 def delete_vertices(g: Graph, drop: int) -> Graph:
@@ -178,14 +192,21 @@ def delete_vertices(g: Graph, drop: int) -> Graph:
         raise GraphError(f"vertex mask {drop:#x} has bits outside the {len(g)} vertices of g")
     keep = [i for i in range(len(g)) if not drop >> i & 1]
     remap = {old: new for new, old in enumerate(keep)}
-    edges = [(remap[i], remap[j]) for i, j in _edges(g, drop)]
-    return Graph([g.vertices[i] for i in keep], edges)
+    masks = []
+    for i in keep:
+        nbrs, mask = g.neighbor_masks[i] & ~drop, 0
+        while nbrs:
+            low = nbrs & -nbrs
+            mask |= 1 << remap[low.bit_length() - 1]
+            nbrs ^= low
+        masks.append(mask)
+    return Graph._of(tuple(g.vertices[i] for i in keep), tuple(masks))
 
 
-def _edges(g: Graph, drop: int = 0) -> Iterator[tuple[int, int]]:
-    """The edges (i, j), i < j, between vertices outside the mask drop, ascending."""
+def _edges(g: Graph) -> Iterator[tuple[int, int]]:
+    """The edges (i, j), i < j, of g, ascending."""
     for i, nbrs in enumerate(g.neighbor_masks):
-        later = 0 if drop >> i & 1 else (nbrs & ~drop) >> (i + 1)
+        later = nbrs >> (i + 1)
         while later:
             low = later & -later
             yield i, i + low.bit_length()

@@ -11,6 +11,7 @@ from indcomplex.faces import (
     faces_by_dimension,
     link_graph,
 )
+from indcomplex.fold import reduce_with_splits
 from indcomplex.graphs import delete_vertices
 
 from conftest import (
@@ -24,6 +25,24 @@ from conftest import (
 def members(face):
     """The vertex indices of the mask face, ascending."""
     return tuple(i for i in range(face.bit_length()) if face >> i & 1)
+
+
+def reference_faces(g):
+    """Order-exact reference for faces_by_dimension: a depth-first search that
+    adds each vertex below the face's lowest that no member bans, highest
+    first, so each dimension's faces come out in descending order."""
+    out = {-1: [0]}
+    nbrs = g.neighbor_masks
+
+    def extend(face, free, d):
+        while free:
+            v = free.bit_length() - 1
+            free ^= 1 << v
+            out.setdefault(d, []).append(face | 1 << v)
+            extend(face | 1 << v, free & ~nbrs[v], d + 1)
+
+    extend(0, (1 << len(g)) - 1, 0)
+    return out
 
 
 def as_tuples(faces):
@@ -46,7 +65,13 @@ class TestEnumerateFaces:
     def test_edgeless_three_vertices_full_simplex(self):
         g = delete_vertices(build_gamma(3, 3), 0b110111010)  # keep (1,1),(1,3),(3,1)
         assert not any(g.neighbor_masks)
-        assert sum(map(len, faces_by_dimension(g).values())) == 8
+        faces = faces_by_dimension(g)
+        assert sum(map(len, faces.values())) == 8
+        assert list(faces.items()) == list(reference_faces(g).items())
+
+    def test_empty_graph(self):
+        g = delete_vertices(build_gamma(3, 3), 0b111111111)
+        assert faces_by_dimension(g) == reference_faces(g) == {-1: [0]}
 
     def test_groups_strictly_descending(self):
         faces = faces_by_dimension(build_gamma(2, 3))
@@ -62,6 +87,21 @@ class TestEnumerateFaces:
 
         g = random_grid_subgraph(random.Random(seed), max_n=2, max_vertices=8)
         assert as_tuples(faces_by_dimension(g)) == brute_force_independent_sets(g)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_order_matches_reference_on_random_subgraphs(self, seed):
+        import random
+
+        g = random_grid_subgraph(random.Random(seed), max_n=4, max_vertices=20)
+        faces = faces_by_dimension(g)
+        assert list(faces.items()) == list(reference_faces(g).items())
+
+    def test_order_matches_reference_on_the_b8_split_residual(self):
+        g = reduce_with_splits(build_family(Family("b", 8))).residual
+        faces = faces_by_dimension(g)
+        assert (len(g), sum(map(len, faces.values()))) == (24, 95_763)
+        assert list(faces.items()) == list(reference_faces(g).items())
 
     def test_budget_exceeded(self, face_budget_of):
         face_budget_of(5)

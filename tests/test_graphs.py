@@ -22,6 +22,21 @@ from conftest import edge_list
 # n, k <= 8, and the reduce_graph and reduce_with_splits residual of each.
 WIRE_SHA256 = "401cdec7493c2c632df01ca0305e315ee5c1c9a96e98c0054394abce3d3a40a1"
 
+# The rows each family removes from the last column of the n-by-6 grid.
+REMOVED_ROWS = {"gamma": (), "x": (1, 3, 5), "y": (3, 4), "a": (1, 5), "b": (4,)}
+
+
+def grid_graph(vertices):
+    """The graph on vertices with an edge between every L1-distance-1 pair,
+    from the validating constructor."""
+    edges = [
+        (i, j)
+        for i, (x, y) in enumerate(vertices)
+        for j, (u, w) in enumerate(vertices)
+        if i < j and abs(x - u) + abs(y - w) == 1
+    ]
+    return Graph(vertices, edges)
+
 
 class TestBuildGamma:
     def test_2x2(self):
@@ -54,6 +69,14 @@ class TestBuildGamma:
         g = build_gamma(3, 4)
         assert list(g.vertices) == sorted(g.vertices)
 
+    def test_matches_the_validating_constructor(self):
+        for n in range(1, 9):
+            for k in range(1, 9):
+                g = build_gamma(n, k)
+                vertices = [(x, y) for x in range(1, n + 1) for y in range(1, k + 1)]
+                assert g == grid_graph(vertices)
+                assert g.family == Family("gamma", n, k)
+
 
 class TestBuildFamily:
     def test_x1_is_three_isolated_vertices(self):
@@ -81,6 +104,15 @@ class TestBuildFamily:
         g = build_gamma(n, 6)
         removed = 1 << g.index((n, 1)) | 1 << g.index((n, 5))
         assert delete_vertices(g, removed) == build_family(Family("a", n))
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_matches_the_validating_constructor(self, kind):
+        for n in range(1, 13):
+            removed = {(n, row) for row in REMOVED_ROWS[kind]}
+            vertices = [(x, y) for x in range(1, n + 1) for y in range(1, 7)]
+            g = build_family(Family(kind, n))
+            assert g == grid_graph([v for v in vertices if v not in removed])
+            assert g.family == Family(kind, n)
 
     def test_family_validation(self):
         with pytest.raises(GraphError):
@@ -126,6 +158,19 @@ class TestDeleteVertices:
         lhs = delete_vertices(delete_vertices(g, s), _reindexed(g, s, t))
         rhs = delete_vertices(g, s | t)
         assert lhs == rhs
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_validating_constructor(self, data):
+        kind = data.draw(st.sampled_from(FAMILY_KINDS))
+        g = build_family(Family(kind, data.draw(st.integers(1, 4))))
+        drop = data.draw(st.integers(0, (1 << len(g)) - 1))
+        kept = [i for i in range(len(g)) if not drop >> i & 1]
+        new = {old: i for i, old in enumerate(kept)}
+        edges = [(new[a], new[b]) for a, b in edge_list(g) if a in new and b in new]
+        sub = delete_vertices(g, drop)
+        assert sub == Graph([g.vertices[i] for i in kept], edges)
+        assert sub.family is None
 
 
 def _reindexed(g, removed, t):
