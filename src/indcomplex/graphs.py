@@ -19,7 +19,7 @@ import os
 import resource
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 Vertex = tuple[int, int]
@@ -81,15 +81,19 @@ class Family:
         return (self.n, 3)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Graph:
     """An immutable finite simple graph with grid-coordinate vertices.
 
     Vertices are (x, y) integer pairs, kept sorted column-major.  The edges,
     given as index pairs into the input list, are kept only as neighbor masks
     over that order, so equal vertex and edge sets compare equal in any order.
+    The family tag is provenance only: equality and hashing ignore it.
     """
 
-    __slots__ = ("vertices", "neighbor_masks", "family")
+    vertices: tuple[Vertex, ...]
+    neighbor_masks: tuple[int, ...]
+    family: Family | None = field(compare=False)
 
     def __init__(
         self,
@@ -122,24 +126,13 @@ class Graph:
     ) -> Graph:
         """The graph with these vertices, sorted, and neighbor masks, symmetric; unchecked."""
         g = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (vertices, masks, family)):
-            object.__setattr__(g, name, value)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "neighbor_masks", masks)
+        object.__setattr__(g, "family", family)
         return g
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Graph is immutable")
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def __eq__(self, other: object) -> bool:
-        # Structural equality; the family tag is provenance only.
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.neighbor_masks == other.neighbor_masks
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.neighbor_masks))
 
     def __repr__(self) -> str:
         edges = sum(m.bit_count() for m in self.neighbor_masks) // 2

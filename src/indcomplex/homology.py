@@ -159,7 +159,9 @@ def betti_over_field(g: Graph, p: int) -> BettiProfile:
 
 
 def integral_homology(g: Graph) -> BettiProfile:
-    """Reduced integral homology: Betti numbers plus torsion invariant factors."""
+    """Reduced integral homology of I(g): Betti numbers plus torsion invariant
+    factors, from every face of I(g) for g as given, with no fold reduction
+    and no split.  On a grid or family graph use `betti_of_graph(g, "int")`."""
     return _homology(g, 0)
 
 

@@ -12,26 +12,14 @@ column-pair matrix is never stored: a column costs O(k * Fib(k + 2))
 additions, and the tables that drive it take O(k * Fib(k + 2)) entries; a
 width whose tables would not fit in the address space raises MemoryError.
 
-Each column step yields two terms.  With v the state signs, D = diag(v) and
-A the symmetric disjointness matrix, the transfer matrix is M = D A, and
-D^2 = I gives 1^T M^a = (D x_a)^T for x_j = M^j v.  So chi_n = 1 - 1^T
-M^(n-1) v = 1 - sum_t v_t x_a[t] x_b[t] for every a + b = n - 1, and step m
-gives both chi_(2m) and chi_(2m+1).
-
-Past 2L terms, L = #states + 1, the sweep stops stepping the model and
-continues by the minimal linear recurrence of the terms it holds.  chi is
-annihilated by Q(shift) with Q = (x - 1) * charpoly(M), a monic integer
-polynomial of degree L.  Berlekamp-Massey modulo a large prime guesses the
-minimal recurrence from the 2L terms (Massey, "Shift-register synthesis and
-BCH decoding", 1969), and the guess is kept only if it has order at most L
-and holds exactly over Z on all 2L terms, which proves it for every n (see
-`_recurrence`); otherwise the sweep goes on column by column.  A recurrence
-of order e also proves a period p once chi_(n+p) = chi_n for n = 1..e, since
-their difference obeys it too; then the held terms repeat, and a query
-starting at any n begins at its phase.  Width 6 steps 22 columns, proves
-period 28 from its first 44 terms, and cycles them however large n is.  With
-no period, x^m mod P writes the terms before a far start as sums of held
-terms, so width 4 answers n = 10^18 after its 9 steps.
+Each column step yields two terms (`_column_terms`).  Past 2L terms, L =
+#states + 1, the sweep stops stepping the model and continues by the
+minimal linear recurrence of the terms it holds, once an exact check over Z
+proves it for every n (`_recurrence`); otherwise it goes on column by
+column.  A proven recurrence also proves a period, or else reaches a far
+start from the held terms (`_chi_terms`).  Width 6 steps 22 columns, proves
+period 28 from its first 44 terms, and cycles them however large n is.
+Width 4 has no period and answers n = 10^18 after its 9 steps.
 
 All arithmetic uses Python integers, which are exact at any size, so no
 overflow handling is needed even where intermediate state-vector entries
@@ -172,10 +160,11 @@ _drop_cached_width = build_transfer_model.cache_clear
 def _recurrence(seq: list[int], order: int) -> list[int] | None:
     """Coefficients a_1..a_e with seq[n] = sum(a_i * seq[n - i]) for e <= n < len(seq).
 
-    Berlekamp-Massey modulo `_PRIME` finds the shortest such recurrence mod
-    p; each coefficient is lifted to its symmetric residue.  The result is
-    returned only if e <= `order` and the recurrence holds exactly over Z on
-    every term of `seq`, else None.
+    Berlekamp-Massey modulo `_PRIME` (Massey, "Shift-register synthesis and
+    BCH decoding", 1969) guesses the shortest such recurrence mod p; each
+    coefficient is lifted to its symmetric residue.  The result is returned
+    only if e <= `order` and the recurrence holds exactly over Z on every
+    term of `seq`, else None.
 
     Why the check is a proof, when seq holds 2L terms of a sequence that some
     monic integer Q of degree L annihilates (L = `order`; for chi, Q = (x - 1)
@@ -255,14 +244,11 @@ def _chi_terms(k: int, start: int = 1) -> Iterator[int]:
     O(L) terms.
 
     `_column_terms` gives the first 2L terms, L = #states + 1, two a column
-    step, as chi(n) = 1 - sum_t signs[t] x_a[t] x_b[t] for x_j = M^j signs
-    and every a + b = n - 1 (1^T M^a = (D x_a)^T, D = diag(signs)).  If more are
-    asked for, `_recurrence` proves the minimal recurrence of those terms
-    (chi satisfies (x - 1) * charpoly(M) of degree L, so an exact check on 2L
-    terms holds for all n); if it finds none, stepping goes on.  Given a
-    proven recurrence of order e, the least p <= 2L - e with chi(n + p) =
-    chi(n) for n = 1..e is a period for every n: w(n) = chi(n + p) - chi(n)
-    obeys the same recurrence, and e consecutive zeros make w zero throughout.
+    step.  If more are asked for, `_recurrence` proves the minimal recurrence
+    of those terms; if it finds none, stepping goes on.  Given a proven
+    recurrence of order e, the least p <= 2L - e with chi(n + p) = chi(n) for
+    n = 1..e is a period for every n: w(n) = chi(n + p) - chi(n) obeys the
+    same recurrence, and e consecutive zeros make w zero throughout.
     Then the held terms repeat, the first at the phase of max(start, 2L + 1),
     so a far start costs no more than a near one.  With no such p, the e terms
     before start, from term m on (counting from 0), are sums of held terms:
@@ -317,11 +303,10 @@ def euler_chi(n: int, k: int) -> int:
 def period_detect(k: int, max_n: int) -> int | None:
     """The least period p <= max_n of n -> chi(I(Gamma_{n,k})), proven, or None.
 
-    chi satisfies a monic integer recurrence of degree L = #states + 1, and
-    so does w(n) = chi(n + p) - chi(n), as shifts commute; w is zero once L
-    consecutive terms are (see `_recurrence`).  So chi(n + p) = chi(n) for
-    n = 1..L proves period p for every n.  The terms stream through a window
-    of L, so memory does not grow with max_n.
+    chi(n + p) = chi(n) for n = 1..L, L = #states + 1, proves period p for
+    every n: the period argument of `_chi_terms`, with the monic integer
+    annihilator of degree L of `_recurrence` for the recurrence.  The terms
+    stream through a window of L, so memory does not grow with max_n.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 from .faces import FaceBudgetExceeded, link_graph
@@ -35,14 +35,9 @@ class Case:
     skipped: str | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "key": self.key,
-            "expected": self.expected,
-            "actual": self.actual,
-            "passed": self.passed,
-        }
-        if self.skipped:
-            out["skipped"] = self.skipped
+        out = asdict(self)
+        if not self.skipped:
+            del out["skipped"]
         return out
 
 

@@ -8,13 +8,15 @@ k-fold suspension of the empty complex is S^{k-1}.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class WedgeOfSpheres:
     """Immutable multiset of sphere dimensions; empty means a point."""
 
-    __slots__ = ("_items",)
+    _items: tuple[tuple[int, int], ...]
 
     def __init__(self, multiplicity: Mapping[int, int]):
         for dim, mult in multiplicity.items():
@@ -22,9 +24,6 @@ class WedgeOfSpheres:
                 raise ValueError(f"negative multiplicity {mult} at dimension {dim}")
         items = sorted((d, m) for d, m in multiplicity.items() if m)
         object.__setattr__(self, "_items", tuple(items))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WedgeOfSpheres is immutable")
 
     @classmethod
     def point(cls) -> "WedgeOfSpheres":
@@ -63,14 +62,6 @@ class WedgeOfSpheres:
     def betti_numbers(self) -> dict[int, int]:
         """Reduced Betti numbers: one free generator per sphere."""
         return dict(self._items)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WedgeOfSpheres):
-            return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
 
     def __repr__(self) -> str:
         if not self._items:

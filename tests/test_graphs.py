@@ -299,6 +299,45 @@ def test_repeated_and_reversed_edges_collapse():
     assert repr(g) == "Graph(2 vertices, 1 edges)"
 
 
+def test_graph_rejects_assignment():
+    g = build_family(Family("b", 3))
+    for name in ("vertices", "neighbor_masks", "family", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    assert g == build_family(Family("b", 3)) and g.family == Family("b", 3)
+
+
+def test_graph_rejects_deletion():
+    g = build_family(Family("b", 3))
+    for name in ("vertices", "neighbor_masks", "family", "other"):
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g == build_family(Family("b", 3)) and g.family == Family("b", 3)
+
+
+def test_graph_equality_ignores_the_family_tag():
+    g = build_family(Family("b", 3))
+    untagged = Graph._of(g.vertices, g.neighbor_masks)
+    retagged = Graph._of(g.vertices, g.neighbor_masks, Family("a", 3))
+    assert g == untagged == retagged
+    assert hash(g) == hash(untagged) == hash(retagged)
+    assert g != delete_vertices(g, 1) and g != build_family(Family("a", 3))
+
+
+def test_graph_compares_unequal_to_other_types():
+    g = build_gamma(2, 1)
+    for other in (None, 0, "graph", g.vertices, (g.vertices, g.neighbor_masks)):
+        assert (g == other) is False and (other == g) is False
+        assert (g != other) is True
+
+
+def test_graph_repr_is_pinned():
+    assert repr(build_family(Family("b", 3))) == (
+        "Graph(17 vertices, 24 edges, family=Family(kind='b', n=3, k=6))"
+    )
+    assert repr(Graph([], [])) == "Graph(0 vertices, 0 edges)"
+
+
 def test_index_searches_the_sorted_vertices():
     g = build_family(Family("b", 3))
     assert [g.index(v) for v in g.vertices] == list(range(len(g)))

@@ -209,6 +209,8 @@ class TestEulerChi:
             euler_chi(0, 6)
         with pytest.raises(ValueError):
             euler_sweep(6, 0)
+        with pytest.raises(ValueError, match="max_n must be >= 1, got 0"):
+            period_detect(6, 0)
 
     def test_point_query_by_period_holds_only_its_cycle(self):
         # A list of 10^6 terms alone takes 8 MB.  Width 6 continues by its

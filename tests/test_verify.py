@@ -55,3 +55,26 @@ def test_skipped_case_reports_the_expected_value_of_a_run(coeff, face_budget_of)
     skipped = [c for c in verify.verify_small_homology(coeff=coeff).cases if c.skipped]
     assert len(skipped) == 6
     assert all(c.expected == full[c.key] for c in skipped)
+
+
+@pytest.mark.parametrize("coeff", ["gf2", "int"])
+def test_case_json_names_the_skip_only_when_skipped(coeff, face_budget_of):
+    face_budget_of(3)
+    cases = verify.verify_small_homology(coeff=coeff).cases
+    skipped = next(c for c in cases if c.skipped)
+    run = next(c for c in cases if not c.skipped)
+    assert skipped.to_json_dict() == {
+        "key": skipped.key,
+        "expected": skipped.expected,
+        "actual": None,
+        "passed": True,
+        "skipped": skipped.skipped,
+    }
+    assert list(skipped.to_json_dict()) == ["key", "expected", "actual", "passed", "skipped"]
+    assert run.to_json_dict() == {
+        "key": run.key,
+        "expected": run.expected,
+        "actual": run.actual,
+        "passed": run.passed,
+    }
+    assert list(run.to_json_dict()) == ["key", "expected", "actual", "passed"]
